@@ -20,6 +20,7 @@ import (
 	"explink/internal/dnc"
 	"explink/internal/exp"
 	"explink/internal/model"
+	"explink/internal/route"
 	"explink/internal/sim"
 	"explink/internal/stats"
 	"explink/internal/topo"
@@ -186,13 +187,33 @@ func BenchmarkRowEval16(b *testing.B) {
 	}
 }
 
+// fullEvalObjective scores every memo miss by re-routing the whole decoded
+// row through a route.Scratch, the full-evaluation reference the annealing
+// benchmark times (the incremental path is BenchmarkMinimize/inc in
+// internal/anneal).
+type fullEvalObjective struct {
+	s       *route.Scratch
+	rp      route.Params
+	m       *topo.ConnMatrix
+	pending int
+}
+
+func (o *fullEvalObjective) K() int { return 1 }
+func (o *fullEvalObjective) Init(m *topo.ConnMatrix, dst []float64) {
+	o.m = m.Clone()
+	o.Eval(dst)
+}
+func (o *fullEvalObjective) Flip(bit int)       { o.m.FlipAt(bit); o.pending = bit }
+func (o *fullEvalObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row(), o.rp) }
+func (o *fullEvalObjective) Commit()            {}
+func (o *fullEvalObjective) Revert()            { o.m.FlipAt(o.pending) }
+
 func BenchmarkAnnealFullSchedule8x8C4(b *testing.B) {
-	p := model.DefaultParams()
-	obj := func(r topo.Row) float64 { return model.RowMean(r, p) }
+	obj := &fullEvalObjective{s: route.NewScratch(), rp: model.DefaultParams().Route()}
 	sch := anneal.DefaultSchedule()
 	for i := 0; i < b.N; i++ {
 		m := topo.NewConnMatrix(8, 4)
-		anneal.Minimize(context.Background(), m, obj, sch, stats.NewRNG(uint64(i)), false)
+		anneal.MinimizePareto(context.Background(), m, obj, anneal.ParetoOpts{}, sch, stats.NewRNG(uint64(i)))
 	}
 }
 

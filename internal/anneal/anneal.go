@@ -4,6 +4,13 @@
 // connection point per move, acceptance is exponential (e^{-ΔL/T}), and the
 // cooling schedule divides the temperature by a constant every fixed number
 // of moves (Table 1).
+//
+// There is one move loop, MinimizePareto. Its objective is k-dimensional and
+// its "best so far" is a bounded archive of mutually non-dominated states
+// (AMOSA-style, the Pareto extension of the paper's search). With k=1 the
+// acceptance rule is exactly the scalar one — accept iff ΔL ≤ 0, else draw
+// against e^{-ΔL/T} — and the archive holds the single best state, so the
+// paper's scalar search is the k=1 case rather than a separate driver.
 package anneal
 
 import (
@@ -48,207 +55,243 @@ func (s Schedule) WithMoves(moves int) Schedule {
 	return out
 }
 
-// Objective scores a decoded placement; lower is better. For P̃(n, C) it is
-// the average row head latency (serialization is constant at fixed C).
-type Objective func(topo.Row) float64
-
-// MoveObjective is the move-aware counterpart of Objective: instead of
-// scoring arbitrary rows from scratch, it follows the annealer's walk through
-// the connection-matrix space move by move, which lets implementations (the
-// route.Incremental-backed objectives in internal/model) re-route only the
-// dirty region of each single-bit candidate.
+// VectorMoveObjective scores the annealer's walk through the
+// connection-matrix space in k objective dimensions (lower is better in
+// every dimension). Instead of scoring arbitrary rows from scratch it follows
+// the walk move by move, which lets implementations (model.IncObjective, on
+// top of route.Incremental) re-route only the dirty region of each
+// single-bit candidate.
 //
 // The annealer drives it with a strict protocol: Init once with the initial
 // matrix, then for every move exactly one Flip followed by either Commit
 // (move accepted) or Revert (move rejected), with at most one Eval in
 // between. Eval is only called on memo misses, so implementations must keep
-// their state in step inside Flip/Commit/Revert, not inside Eval. The matrix
-// passed to Init is owned by the annealer and must not be retained or
-// modified.
-//
-// Implementations must return values bit-identical to the equivalent
-// Objective on the decoded row; the annealer's trajectory, memo behavior and
-// result are then bit-for-bit independent of which interface scored it.
-type MoveObjective interface {
-	// Init adopts the initial state and returns its objective value.
-	Init(m *topo.ConnMatrix) float64
+// their state in step inside Flip/Commit/Revert, not inside Eval. Values are
+// written into caller-provided buffers of length K() so the move loop stays
+// allocation-free on the evaluation path. The matrix passed to Init is owned
+// by the annealer and must not be retained or modified.
+type VectorMoveObjective interface {
+	// K returns the number of objective dimensions; constant for the lifetime
+	// of the objective and at least 1.
+	K() int
+	// Init adopts the initial state and writes its objective vector to dst.
+	Init(m *topo.ConnMatrix, dst []float64)
 	// Flip applies the single-bit move FlipAt(bit) to the tracked state.
 	Flip(bit int)
-	// Eval returns the objective value of the tracked state.
-	Eval() float64
+	// Eval writes the objective vector of the tracked state to dst.
+	Eval(dst []float64)
 	// Commit accepts the pending move.
 	Commit()
 	// Revert undoes the pending move.
 	Revert()
 }
 
-// funcObjective adapts a plain Objective to the move protocol: it tracks
-// nothing and decodes the annealer's current matrix on every evaluation,
-// exactly like the pre-move-aware search loop did.
-type funcObjective struct {
-	obj Objective
-	m   *topo.ConnMatrix
+// DefaultArchiveCap bounds the non-dominated archive when ParetoOpts leaves
+// ArchiveCap unset. Frontiers here are presentation artifacts (a trade-off
+// table, a plot), so a few dozen well-spread points beat hundreds of near
+// duplicates.
+const DefaultArchiveCap = 32
+
+// ParetoOpts configures MinimizePareto beyond the shared Schedule.
+type ParetoOpts struct {
+	// ArchiveCap bounds the archive size; when an insertion overflows it the
+	// most crowded entry is pruned. <= 0 means DefaultArchiveCap.
+	ArchiveCap int
+	// Scales normalizes per-dimension deltas inside the acceptance rule:
+	// the uphill draw uses max_d(Δ_d / Scales[d]) as the scalar Δ, so
+	// dimensions with wildly different units (cycles vs watts vs bit-units)
+	// share one temperature scale. nil or non-positive entries mean 1. Scales
+	// never affect dominance, the archive, or which states are reachable
+	// downhill — only the uphill acceptance probability.
+	Scales []float64
 }
 
-func (f *funcObjective) Init(m *topo.ConnMatrix) float64 {
-	f.m = m
-	return f.obj(m.Row())
-}
-func (f *funcObjective) Flip(int)      {}
-func (f *funcObjective) Eval() float64 { return f.obj(f.m.Row()) }
-func (f *funcObjective) Commit()       {}
-func (f *funcObjective) Revert()       {}
-
-// Point records the best objective seen after a number of evaluations, used
-// to draw the quality-vs-runtime curves of Fig. 7.
-type Point struct {
-	Evals int64
-	Best  float64
+// ParetoEntry is one archived placement with its objective vector.
+type ParetoEntry struct {
+	Matrix *topo.ConnMatrix
+	Row    topo.Row
+	Objs   []float64
 }
 
-// Result reports the best state found and the search statistics.
-type Result struct {
-	Matrix   *topo.ConnMatrix
-	Row      topo.Row
-	Obj      float64
+// ParetoResult reports the final archive and the search statistics. At k=1
+// Entries holds exactly the best state found.
+type ParetoResult struct {
+	// Entries are mutually non-dominated, with pairwise-distinct objective
+	// vectors, sorted lexicographically by Objs — a deterministic function of
+	// (init, objective, schedule, opts, seed).
+	Entries  []ParetoEntry
 	Evals    int64 // objective queries (includes the initial one)
 	Accepted int64 // accepted moves
-	Uphill   int64 // accepted moves with ΔL > 0
+	Uphill   int64 // accepted moves worse in at least one dimension
 	// MemoHits counts objective queries served from the state memo (revisited
 	// bit patterns, mostly flip/revert churn); MemoMisses counts queries that
-	// paid a full routing evaluation. Evals == MemoHits + MemoMisses, so
-	// MemoMisses is the Fig. 7-style measure of actual work done.
-	MemoHits   int64
-	MemoMisses int64
-	History    []Point
+	// paid an evaluation. Evals == MemoHits + MemoMisses, so MemoMisses is the
+	// Fig. 7-style measure of actual work done.
+	MemoHits      int64
+	MemoMisses    int64
+	ArchivePruned int64 // entries evicted by the crowding pruner
 }
 
 // memoCap bounds the objective memo so pathological schedules cannot grow it
 // without limit; at the paper's 10⁴ moves the cap is never approached.
 const memoCap = 1 << 20
 
-// Minimize runs simulated annealing from the given initial matrix. The
+// MinimizePareto runs simulated annealing from the given initial matrix; the
 // initial matrix is not modified. When the matrix has no connection points
-// (C = 1 or n <= 2) the initial state is returned unchanged. Pass record =
-// true to collect the best-so-far history at every improvement.
+// (C = 1 or n <= 2) the initial state is returned unchanged.
 //
-// Cancelling ctx ends the search at the next move boundary; the best state
-// found so far is returned (anytime semantics — the caller decides whether a
+// Acceptance: a candidate no worse in every dimension is accepted outright,
+// otherwise one uphill draw against e^{-maxΔ/T} on the scale-normalized
+// worst dimension. Best-state tracking is a bounded archive of
+// non-dominated states, pruned by crowding distance; StopAfterNoImprove
+// counts moves since the archive last changed.
+//
+// Cancelling ctx ends the search at the next move boundary; the archive found
+// so far is returned (anytime semantics — the caller decides whether a
 // truncated search is an error, see core.SolveRow).
 //
-// Objective values are memoized by connection-matrix bit pattern: a move that
-// revisits a known state (typically the flip/revert churn around the current
-// state) reuses the cached value instead of re-routing, and skips the matrix
-// decode entirely. The memo never changes the search trajectory — revisited
-// states score identically either way — so results are bit-for-bit equal to
-// the unmemoized search.
-func Minimize(ctx context.Context, init *topo.ConnMatrix, obj Objective, sch Schedule, rng *stats.RNG, record bool) Result {
-	return MinimizeMove(ctx, init, &funcObjective{obj: obj}, sch, rng, record)
-}
-
-// MinimizeMove is Minimize with a move-aware objective: identical search,
-// memo and result semantics, but the objective is informed of every flip,
-// commit and revert so it can evaluate candidates incrementally instead of
-// re-routing the whole row per memo miss. With bit-identical objective
-// values (the MoveObjective contract) the two entry points produce
-// bit-identical results.
+// Objective vectors are memoized by connection-matrix bit pattern in one
+// flat arena: a move that revisits a known state (typically the flip/revert
+// churn around the current state) reuses the cached vector instead of
+// calling Eval. The memo never changes the trajectory — revisited states
+// score identically either way.
 //
-// The best-so-far state lives in a single reusable buffer that improvements
-// copy into; the result matrix and row are materialized once at return
-// instead of cloning inside the accept path.
-func MinimizeMove(ctx context.Context, init *topo.ConnMatrix, mo MoveObjective, sch Schedule, rng *stats.RNG, record bool) Result {
+// Determinism: one rng.Intn per move and one rng.Float64 per non-improving
+// move; the memo and the archive never touch the RNG, so same inputs + same
+// seed give the same archive, byte for byte.
+func MinimizePareto(ctx context.Context, init *topo.ConnMatrix, vo VectorMoveObjective, opts ParetoOpts, sch Schedule, rng *stats.RNG) ParetoResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	k := vo.K()
 	cur := init.Clone()
-	curObj := mo.Init(cur)
-	res := Result{
-		Obj:        curObj,
-		Evals:      1,
-		MemoMisses: 1,
-	}
-	if record {
-		res.History = append(res.History, Point{Evals: 1, Best: curObj})
-	}
-	track := newObsTracker() // nil (free) unless EnableMetrics was called
 	bits := cur.Bits()
-	best := cur.Clone() // best-so-far buffer, reused across improvements
-	if bits == 0 || sch.Moves <= 0 {
-		res.Matrix = best
-		res.Row = best.Row()
-		track.done(&res, sch.T0)
+	moves := max(sch.Moves, 0)
+	if bits == 0 {
+		moves = 0
+	}
+	archCap := opts.ArchiveCap
+	if archCap <= 0 {
+		archCap = DefaultArchiveCap
+	}
+	ar := newArchive(archCap)
+	scales := make([]float64, k)
+	for d := range scales {
+		scales[d] = scaleAt(opts.Scales, d)
+	}
+
+	curObjs := make([]float64, k)
+	vo.Init(cur, curObjs)
+	res := ParetoResult{Evals: 1, MemoMisses: 1}
+	track := newObsTracker() // nil (free) unless EnableMetrics was called
+	ar.insert(cur, curObjs)
+	if moves == 0 {
+		ar.finish(&res, track, sch.T0)
 		return res
 	}
 
-	memo := make(map[string]float64)
+	// memo maps a packed matrix key to the offset of its vector in arena.
+	// The arena is presized for the states the search can store: one per
+	// evaluation and one per bit pattern, never more than memoCap. Computed
+	// without moves+1, so a move budget of math.MaxInt cannot overflow it.
+	memo := make(map[string]int)
+	reach := min(memoCap, 1<<min(bits, 20))
+	arena := make([]float64, k, (min(reach-1, moves)+1)*k)
+	copy(arena, curObjs)
 	keyBuf := cur.AppendKey(nil)
-	memo[string(keyBuf)] = curObj
+	memo[string(keyBuf)] = 0
 
+	candObjs := make([]float64, k)
 	temp := sch.T0
 	sinceImprove := 0
-	for move := 1; move <= sch.Moves; move++ {
+	for move := 1; move <= moves; move++ {
 		if sch.StopAfterNoImprove > 0 && sinceImprove >= sch.StopAfterNoImprove {
 			break
 		}
 		if ctx.Err() != nil {
-			break // every move pays an objective eval, so per-move polling is cheap
+			break // every move pays a memo lookup, so per-move polling is cheap
 		}
 		if track != nil {
 			track.moves++
 		}
 		i := rng.Intn(bits)
 		cur.FlipAt(i)
-		mo.Flip(i)
+		vo.Flip(i)
 		// Maintain the packed memo key incrementally: AppendKey packs bit i
 		// into byte i>>3 at position i&7, so a single-bit move is one XOR
 		// rather than a full repack. The reject branch undoes it below.
 		keyBuf[i>>3] ^= 1 << (i & 7)
-		candObj, hit := memo[string(keyBuf)]
-		if hit {
+		cand := candObjs
+		if off, ok := memo[string(keyBuf)]; ok {
 			res.MemoHits++
+			cand = arena[off : off+k]
 		} else {
-			candObj = mo.Eval()
+			vo.Eval(candObjs)
 			res.MemoMisses++
 			if len(memo) < memoCap {
-				memo[string(keyBuf)] = candObj
+				memo[string(keyBuf)] = len(arena)
+				arena = append(arena, candObjs...)
 			}
 		}
 		res.Evals++
 
-		delta := candObj - curObj
-		accept := delta <= 0
+		// Downhill-or-flat in every dimension is free; otherwise one draw
+		// against the worst scale-normalized uphill delta. For k=1 this is
+		// exactly the scalar rule, same RNG consumption.
+		noWorse := true
+		maxDelta := math.Inf(-1)
+		for d, s := range scales {
+			delta := cand[d] - curObjs[d]
+			if delta > 0 {
+				noWorse = false
+			}
+			if s != 1 {
+				delta /= s
+			}
+			if delta > maxDelta {
+				maxDelta = delta
+			}
+		}
+		accept := noWorse
 		if !accept && temp > 0 {
-			accept = rng.Float64() < math.Exp(-delta/temp)
+			accept = rng.Float64() < math.Exp(-maxDelta/temp)
 		}
 		sinceImprove++
 		if accept {
-			mo.Commit()
+			vo.Commit()
 			res.Accepted++
-			if delta > 0 {
+			if !noWorse {
 				res.Uphill++
 			}
-			curObj = candObj
-			if candObj < res.Obj {
-				res.Obj = candObj
-				best.Copy(cur)
+			copy(curObjs, cand)
+			if ar.insert(cur, curObjs) {
 				sinceImprove = 0
-				if record {
-					res.History = append(res.History, Point{Evals: res.Evals, Best: candObj})
-				}
+				res.ArchivePruned += int64(ar.prune())
 			}
 		} else {
-			cur.FlipAt(i) // revert
-			mo.Revert()
+			cur.FlipAt(i)
+			vo.Revert()
 			keyBuf[i>>3] ^= 1 << (i & 7)
 		}
 
 		if sch.CoolEvery > 0 && move%sch.CoolEvery == 0 && sch.CoolDiv > 0 {
 			temp /= sch.CoolDiv
-			track.flush(&res, temp) // cooldowns are the metrics cadence
+			track.flush(&res, ar, temp) // cooldowns are the metrics cadence
 		}
 	}
-	res.Matrix = best
-	res.Row = best.Row()
-	track.done(&res, temp)
+	ar.finish(&res, track, temp)
 	return res
+}
+
+// scaleAt returns the acceptance scale for dimension d: Scales[d] when it is
+// present, positive and finite, else 1.
+func scaleAt(scales []float64, d int) float64 {
+	if d >= len(scales) {
+		return 1
+	}
+	s := scales[d]
+	if !(s > 0) || math.IsInf(s, 1) {
+		return 1
+	}
+	return s
 }

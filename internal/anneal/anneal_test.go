@@ -7,6 +7,7 @@ import (
 
 	"explink/internal/bnb"
 	"explink/internal/model"
+	"explink/internal/obs"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -14,6 +15,17 @@ import (
 var p = model.DefaultParams()
 
 func rowObj(r topo.Row) float64 { return model.RowMean(r, p) }
+
+// minimize runs the search on the row-mean objective and returns the k=1
+// archive's single entry with the run's counters.
+func minimize(t *testing.T, init *topo.ConnMatrix, sch Schedule, rng *stats.RNG) (ParetoEntry, ParetoResult) {
+	t.Helper()
+	res := MinimizePareto(context.Background(), init, model.NewIncObjective(p), ParetoOpts{}, sch, rng)
+	if len(res.Entries) != 1 {
+		t.Fatalf("k=1 archive holds %d entries, want 1", len(res.Entries))
+	}
+	return res.Entries[0], res
+}
 
 func TestDefaultScheduleMatchesTable1(t *testing.T) {
 	s := DefaultSchedule()
@@ -46,7 +58,7 @@ func TestWithMovesTinyBudgetRounding(t *testing.T) {
 			t.Fatalf("WithMoves(%d) cadence = %d, want 1", moves, s.CoolEvery)
 		}
 		m := topo.NewConnMatrix(8, 4)
-		res := Minimize(context.Background(), m, rowObj, s, stats.NewRNG(17), false)
+		_, res := minimize(t, m, s, stats.NewRNG(17))
 		if res.Evals != int64(moves)+1 {
 			t.Fatalf("WithMoves(%d) run made %d evals", moves, res.Evals)
 		}
@@ -61,7 +73,7 @@ func TestWithMovesTinyBudgetRounding(t *testing.T) {
 
 func TestMinimizeMemoCounters(t *testing.T) {
 	m := topo.NewConnMatrix(8, 4)
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(23), false)
+	best, res := minimize(t, m, DefaultSchedule(), stats.NewRNG(23))
 	if res.MemoHits+res.MemoMisses != res.Evals {
 		t.Fatalf("hits %d + misses %d != evals %d", res.MemoHits, res.MemoMisses, res.Evals)
 	}
@@ -75,31 +87,31 @@ func TestMinimizeMemoCounters(t *testing.T) {
 	}
 	// The memo must not distort the reported optimum: the best row's true
 	// objective equals the recorded one.
-	if got := rowObj(res.Row); got != res.Obj {
-		t.Fatalf("memoized objective %v != recomputed %v", res.Obj, got)
+	if got := rowObj(best.Row); got != best.Objs[0] {
+		t.Fatalf("memoized objective %v != recomputed %v", best.Objs[0], got)
 	}
 }
 
 func TestMinimizeNoBits(t *testing.T) {
 	// C=1 has an empty move space; the initial state must come back intact.
 	m := topo.NewConnMatrix(8, 1)
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(1), false)
+	best, res := minimize(t, m, DefaultSchedule(), stats.NewRNG(1))
 	if res.Evals != 1 {
 		t.Fatalf("evals = %d", res.Evals)
 	}
-	if !res.Row.Equal(topo.MeshRow(8)) {
-		t.Fatalf("row = %v", res.Row)
+	if !best.Row.Equal(topo.MeshRow(8)) {
+		t.Fatalf("row = %v", best.Row)
 	}
 }
 
 func TestMinimizeImproves(t *testing.T) {
 	m := topo.NewConnMatrix(8, 4) // start from mesh
 	init := rowObj(m.Row())
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(7), false)
-	if res.Obj >= init {
-		t.Fatalf("SA failed to improve: %g >= %g", res.Obj, init)
+	best, res := minimize(t, m, DefaultSchedule(), stats.NewRNG(7))
+	if best.Objs[0] >= init {
+		t.Fatalf("SA failed to improve: %g >= %g", best.Objs[0], init)
 	}
-	if err := res.Row.Validate(4); err != nil {
+	if err := best.Row.Validate(4); err != nil {
 		t.Fatal(err)
 	}
 	if res.Evals != int64(DefaultSchedule().Moves)+1 {
@@ -110,19 +122,19 @@ func TestMinimizeImproves(t *testing.T) {
 func TestMinimizeDoesNotMutateInit(t *testing.T) {
 	m := topo.NewConnMatrix(8, 4)
 	snapshot := m.Clone()
-	Minimize(context.Background(), m, rowObj, DefaultSchedule().WithMoves(500), stats.NewRNG(3), false)
+	minimize(t, m, DefaultSchedule().WithMoves(500), stats.NewRNG(3))
 	if !m.Equal(snapshot) {
 		t.Fatal("initial matrix was mutated")
 	}
 }
 
 func TestMinimizeDeterministic(t *testing.T) {
-	run := func() Result {
-		m := topo.NewConnMatrix(8, 4)
-		return Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(42), false)
+	run := func() (ParetoEntry, ParetoResult) {
+		return minimize(t, topo.NewConnMatrix(8, 4), DefaultSchedule(), stats.NewRNG(42))
 	}
-	a, b := run(), run()
-	if a.Obj != b.Obj || !a.Row.Equal(b.Row) || a.Accepted != b.Accepted {
+	a, ar := run()
+	b, br := run()
+	if a.Objs[0] != b.Objs[0] || !a.Row.Equal(b.Row) || ar.Accepted != br.Accepted {
 		t.Fatal("SA is not deterministic for a fixed seed")
 	}
 }
@@ -132,29 +144,9 @@ func TestMinimizeFindsOptimumSmall(t *testing.T) {
 	// optimum.
 	opt := bnb.ExhaustiveMatrix(8, 2, p)
 	m := topo.NewConnMatrix(8, 2)
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(5), false)
-	if math.Abs(res.Obj-opt.Mean) > 1e-9 {
-		t.Fatalf("SA found %g, optimum is %g", res.Obj, opt.Mean)
-	}
-}
-
-func TestMinimizeHistoryMonotone(t *testing.T) {
-	m := topo.NewConnMatrix(8, 4)
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(9), true)
-	if len(res.History) < 2 {
-		t.Fatalf("history too short: %v", res.History)
-	}
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i].Best >= res.History[i-1].Best {
-			t.Fatalf("history not strictly improving at %d: %v", i, res.History)
-		}
-		if res.History[i].Evals <= res.History[i-1].Evals {
-			t.Fatalf("history evals not increasing at %d", i)
-		}
-	}
-	last := res.History[len(res.History)-1].Best
-	if last != res.Obj {
-		t.Fatalf("history end %g != result %g", last, res.Obj)
+	best, _ := minimize(t, m, DefaultSchedule(), stats.NewRNG(5))
+	if math.Abs(best.Objs[0]-opt.Mean) > 1e-9 {
+		t.Fatalf("SA found %g, optimum is %g", best.Objs[0], opt.Mean)
 	}
 }
 
@@ -162,7 +154,7 @@ func TestMinimizeAcceptsUphillEarly(t *testing.T) {
 	// With T0 = 10 the early phase must accept some uphill moves; a purely
 	// greedy search would get stuck in the first local optimum.
 	m := topo.NewConnMatrix(8, 4)
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule(), stats.NewRNG(11), false)
+	_, res := minimize(t, m, DefaultSchedule(), stats.NewRNG(11))
 	if res.Uphill == 0 {
 		t.Fatal("no uphill moves accepted; annealing degenerated to greedy")
 	}
@@ -170,9 +162,9 @@ func TestMinimizeAcceptsUphillEarly(t *testing.T) {
 
 func TestMinimizeZeroMoves(t *testing.T) {
 	m := topo.NewConnMatrix(8, 4)
-	res := Minimize(context.Background(), m, rowObj, Schedule{T0: 10, Moves: 0, CoolEvery: 1, CoolDiv: 2}, stats.NewRNG(1), false)
-	if res.Evals != 1 || !res.Row.Equal(topo.MeshRow(8)) {
-		t.Fatalf("zero-move run changed state: %v", res.Row)
+	best, res := minimize(t, m, Schedule{T0: 10, Moves: 0, CoolEvery: 1, CoolDiv: 2}, stats.NewRNG(1))
+	if res.Evals != 1 || !best.Row.Equal(topo.MeshRow(8)) {
+		t.Fatalf("zero-move run changed state: %v", best.Row)
 	}
 }
 
@@ -184,8 +176,34 @@ func TestMinimizeFromGoodInitNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Minimize(context.Background(), m, rowObj, DefaultSchedule().WithMoves(2000), stats.NewRNG(13), false)
-	if res.Obj > good.Mean+1e-9 {
-		t.Fatalf("SA returned %g, worse than its seed %g", res.Obj, good.Mean)
+	best, _ := minimize(t, m, DefaultSchedule().WithMoves(2000), stats.NewRNG(13))
+	if best.Objs[0] > good.Mean+1e-9 {
+		t.Fatalf("SA returned %g, worse than its seed %g", best.Objs[0], good.Mean)
+	}
+}
+
+// TestMetricsMatchResult pins the batched metrics flush: after one search the
+// exported counters equal the result's, and the best-objective gauge reports
+// the archive's best.
+func TestMetricsMatchResult(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(nil)
+	best, res := minimize(t, topo.NewConnMatrix(8, 4), DefaultSchedule().WithMoves(2500), stats.NewRNG(31))
+	for name, want := range map[string]int64{
+		"anneal_searches_total":    1,
+		"anneal_moves_total":       2500,
+		"anneal_evals_total":       res.Evals,
+		"anneal_memo_hits_total":   res.MemoHits,
+		"anneal_memo_misses_total": res.MemoMisses,
+		"anneal_accepted_total":    res.Accepted,
+		"anneal_uphill_total":      res.Uphill,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.FloatGauge("anneal_best_objective", "").Value(); got != best.Objs[0] {
+		t.Errorf("anneal_best_objective = %v, want %v", got, best.Objs[0])
 	}
 }

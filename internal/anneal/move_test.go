@@ -7,32 +7,33 @@ import (
 	"time"
 
 	"explink/internal/model"
+	"explink/internal/route"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
 
-// TestMinimizeMoveResultConsistency pins the deferred best-state
-// materialization: the returned Row must decode the returned Matrix, and the
-// result must not alias the caller's initial matrix.
+// TestMinimizeMoveResultConsistency pins the recycled best-state buffers:
+// the returned Row must decode the returned Matrix, and the result must not
+// alias the caller's initial matrix.
 func TestMinimizeMoveResultConsistency(t *testing.T) {
 	init := topo.NewConnMatrix(12, 4)
 	rng := stats.NewRNG(3)
 	init.Randomize(func() bool { return rng.Bool(0.5) })
 	snapshot := init.Clone()
-	res := MinimizeMove(context.Background(), init, model.NewIncObjective(p), DefaultSchedule().WithMoves(500), rng, false)
+	best, _ := minimize(t, init, DefaultSchedule().WithMoves(500), rng)
 	if !init.Equal(snapshot) {
-		t.Fatal("MinimizeMove mutated the initial matrix")
+		t.Fatal("the search mutated the initial matrix")
 	}
-	if !res.Row.Equal(res.Matrix.Row()) {
-		t.Fatalf("Row %v does not decode Matrix %v", res.Row, res.Matrix)
+	if !best.Row.Equal(best.Matrix.Row()) {
+		t.Fatalf("Row %v does not decode Matrix %v", best.Row, best.Matrix)
 	}
-	res.Matrix.FlipAt(0)
+	best.Matrix.FlipAt(0)
 	if !init.Equal(snapshot) {
 		t.Fatal("result matrix aliases the initial matrix")
 	}
 }
 
-// TestMinimizeMoveProtocolOrder drives MinimizeMove with a recording
+// TestMinimizeMoveProtocolOrder drives the move loop with a recording
 // objective and checks the documented call protocol: Init once, then per move
 // exactly one Flip followed by at most one Eval and exactly one Commit or
 // Revert — the contract incremental implementations rely on to stay in step.
@@ -41,7 +42,7 @@ func TestMinimizeMoveProtocolOrder(t *testing.T) {
 	init := topo.NewConnMatrix(8, 3)
 	rng := stats.NewRNG(9)
 	init.Randomize(func() bool { return rng.Bool(0.5) })
-	res := MinimizeMove(context.Background(), init, rec, DefaultSchedule().WithMoves(300), rng, false)
+	res := MinimizePareto(context.Background(), init, rec, ParetoOpts{}, DefaultSchedule().WithMoves(300), rng)
 	if rec.open {
 		t.Fatal("search ended with an open move")
 	}
@@ -62,7 +63,7 @@ func TestMinimizeMoveProtocolOrder(t *testing.T) {
 // recordingObjective mirrors the annealer's matrix like a real incremental
 // objective (so values stay correct) while asserting protocol order.
 type recordingObjective struct {
-	obj                                   Objective
+	obj                                   func(topo.Row) float64
 	t                                     *testing.T
 	m                                     *topo.ConnMatrix
 	last                                  int
@@ -70,10 +71,12 @@ type recordingObjective struct {
 	inits, flips, evals, commits, reverts int
 }
 
-func (r *recordingObjective) Init(m *topo.ConnMatrix) float64 {
+func (r *recordingObjective) K() int { return 1 }
+
+func (r *recordingObjective) Init(m *topo.ConnMatrix, dst []float64) {
 	r.inits++
 	r.m = m.Clone()
-	return r.obj(r.m.Row())
+	dst[0] = r.obj(r.m.Row())
 }
 
 func (r *recordingObjective) Flip(bit int) {
@@ -86,12 +89,12 @@ func (r *recordingObjective) Flip(bit int) {
 	r.m.FlipAt(bit)
 }
 
-func (r *recordingObjective) Eval() float64 {
+func (r *recordingObjective) Eval(dst []float64) {
 	if !r.open {
 		r.t.Fatal("Eval outside a move")
 	}
 	r.evals++
-	return r.obj(r.m.Row())
+	dst[0] = r.obj(r.m.Row())
 }
 
 func (r *recordingObjective) Commit() {
@@ -111,6 +114,30 @@ func (r *recordingObjective) Revert() {
 	r.m.FlipAt(r.last)
 }
 
+// scratchObjective is the full-evaluation reference objective: it mirrors
+// the annealer's matrix and re-routes the whole decoded row through a
+// route.Scratch on every Eval.
+type scratchObjective struct {
+	s       *route.Scratch
+	rp      route.Params
+	m       *topo.ConnMatrix
+	pending int
+}
+
+func newScratchObjective(p model.Params) *scratchObjective {
+	return &scratchObjective{s: route.NewScratch(), rp: p.Route()}
+}
+
+func (o *scratchObjective) K() int { return 1 }
+func (o *scratchObjective) Init(m *topo.ConnMatrix, dst []float64) {
+	o.m = m.Clone()
+	o.Eval(dst)
+}
+func (o *scratchObjective) Flip(bit int)       { o.m.FlipAt(bit); o.pending = bit }
+func (o *scratchObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row(), o.rp) }
+func (o *scratchObjective) Commit()            {}
+func (o *scratchObjective) Revert()            { o.m.FlipAt(o.pending) }
+
 // TestSANotSlowerThanFull is the CI perf smoke for the annealing hot path:
 // a full default schedule through the incremental objective must not lose to
 // the full-evaluation objective. Gated behind EXPLINK_BENCH_SMOKE.
@@ -123,12 +150,12 @@ func TestSANotSlowerThanFull(t *testing.T) {
 		m := topo.NewConnMatrix(n, c)
 		rng := stats.NewRNG(1)
 		m.Randomize(func() bool { return rng.Bool(0.5) })
-		t0 := time.Now()
+		var obj VectorMoveObjective = newScratchObjective(p)
 		if incremental {
-			MinimizeMove(context.Background(), m, model.NewIncObjective(p), DefaultSchedule(), rng, false)
-		} else {
-			Minimize(context.Background(), m, model.RowObjective(p), DefaultSchedule(), rng, false)
+			obj = model.NewIncObjective(p)
 		}
+		t0 := time.Now()
+		MinimizePareto(context.Background(), m, obj, ParetoOpts{}, DefaultSchedule(), rng)
 		return time.Since(t0)
 	}
 	bestInc, bestFull := time.Duration(1<<62), time.Duration(1<<62)

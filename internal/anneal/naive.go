@@ -28,7 +28,7 @@ type NaiveResult struct {
 // from init (which must satisfy the limit). Every generated candidate that
 // violates the limit costs a move but no evaluation, mirroring how a naive
 // implementation would discard it after the feasibility check.
-func MinimizeNaive(init topo.Row, c int, obj Objective, sch Schedule, rng *stats.RNG) NaiveResult {
+func MinimizeNaive(init topo.Row, c int, obj func(topo.Row) float64, sch Schedule, rng *stats.RNG) NaiveResult {
 	if err := init.Validate(c); err != nil {
 		panic("anneal: naive annealing seeded with an infeasible row: " + err.Error())
 	}

@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"context"
 	"testing"
 
 	"explink/internal/stats"
@@ -65,8 +64,8 @@ func TestMatrixGeneratorBeatsNaiveAtTightLimits(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		sch := DefaultSchedule().WithMoves(budget)
 		m := topo.NewConnMatrix(16, 2)
-		mres := Minimize(context.Background(), m, rowObj, sch, stats.NewRNG(stats.MixSeed(seed, 1)), false)
-		matrixSum += mres.Obj
+		best, _ := minimize(t, m, sch, stats.NewRNG(stats.MixSeed(seed, 1)))
+		matrixSum += best.Objs[0]
 		nres := MinimizeNaive(topo.MeshRow(16), 2, rowObj, sch, stats.NewRNG(stats.MixSeed(seed, 2)))
 		naiveSum += nres.Obj
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // metricSet holds the annealer's exported instruments, shared by every
-// concurrent Minimize in the process: counters aggregate, gauges reflect the
-// most recent flush. Minimize batches updates at cooldown boundaries (and at
-// search end) instead of per move, so instrumentation adds no per-move cost
-// beyond what the schedule already pays.
+// concurrent search in the process: counters aggregate, gauges reflect the
+// most recent flush. The move loop batches updates at cooldown boundaries
+// (and at search end) instead of per move, so instrumentation adds no
+// per-move cost beyond what the schedule already pays.
 type metricSet struct {
 	searches   *obs.Counter    // anneal_searches_total
 	searchTime *obs.Timer      // anneal_search_total / anneal_search_seconds_total
@@ -29,7 +29,7 @@ type metricSet struct {
 var annealMet atomic.Pointer[metricSet]
 
 // EnableMetrics registers the annealer's metrics on reg and turns on
-// collection for every subsequent Minimize. Rates (evals/sec) fall out of
+// collection for every subsequent search. Rates (evals/sec) fall out of
 // anneal_evals_total and anneal_search_seconds_total; the temperature and
 // acceptance-ratio gauges trace the most recently flushed search window.
 // A nil registry disables metrics again.
@@ -53,7 +53,7 @@ func EnableMetrics(reg *obs.Registry) {
 	})
 }
 
-// obsTracker batches Minimize's statistics into the shared metric set,
+// obsTracker batches a search's statistics into the shared metric set,
 // flushing the delta since the previous flush.
 type obsTracker struct {
 	m     *metricSet
@@ -65,7 +65,7 @@ type obsTracker struct {
 }
 
 // newObsTracker returns nil when metrics are disabled; all methods are
-// nil-safe so Minimize can call them unconditionally at its (cold) flush
+// nil-safe so the move loop can call them unconditionally at its (cold) flush
 // points.
 func newObsTracker() *obsTracker {
 	m := annealMet.Load()
@@ -77,8 +77,8 @@ func newObsTracker() *obsTracker {
 }
 
 // flush publishes the delta between res and the previous flush plus the
-// current temperature.
-func (t *obsTracker) flush(res *Result, temp float64) {
+// current temperature and the archive's best dimension-0 objective.
+func (t *obsTracker) flush(res *ParetoResult, ar *archive, temp float64) {
 	if t == nil {
 		return
 	}
@@ -94,14 +94,14 @@ func (t *obsTracker) flush(res *Result, temp float64) {
 	if t.moves > 0 {
 		t.m.acceptRate.Set(float64(res.Accepted) / float64(t.moves))
 	}
-	t.m.bestObj.Set(res.Obj)
+	t.m.bestObj.Set(ar.best())
 }
 
 // done is the final flush plus the search timer observation.
-func (t *obsTracker) done(res *Result, temp float64) {
+func (t *obsTracker) done(res *ParetoResult, ar *archive, temp float64) {
 	if t == nil {
 		return
 	}
-	t.flush(res, temp)
+	t.flush(res, ar, temp)
 	t.m.searchTime.Observe(time.Since(t.start))
 }

@@ -1,101 +1,13 @@
 package anneal
 
 import (
-	"context"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
-
-// Vector-objective simulated annealing: the same single-bit move walk as
-// MinimizeMove, but the objective is k-dimensional and "best so far" becomes
-// a bounded archive of mutually non-dominated states (AMOSA-style). With k=1
-// the acceptance rule degenerates to the scalar one — accept iff Δ ≤ 0, else
-// draw against e^{-Δ/T} — consuming the RNG stream identically, so
-// MinimizePareto over VectorOf(mo) reproduces MinimizeMove bit for bit
-// (pinned by TestMinimizeParetoScalarEquivalence).
-
-// VectorMoveObjective scores the annealer's walk in k objective dimensions
-// (lower is better in every dimension). The call protocol is exactly
-// MoveObjective's — Init once, then per move one Flip, at most one Eval, and
-// exactly one Commit or Revert — with values written into caller-provided
-// buffers of length K() so the move loop stays allocation-free on the
-// evaluation path.
-type VectorMoveObjective interface {
-	// K returns the number of objective dimensions; constant for the lifetime
-	// of the objective and at least 1.
-	K() int
-	// Init adopts the initial state and writes its objective vector to dst.
-	Init(m *topo.ConnMatrix, dst []float64)
-	// Flip applies the single-bit move FlipAt(bit) to the tracked state.
-	Flip(bit int)
-	// Eval writes the objective vector of the tracked state to dst.
-	Eval(dst []float64)
-	// Commit accepts the pending move.
-	Commit()
-	// Revert undoes the pending move.
-	Revert()
-}
-
-// VectorOf lifts a scalar MoveObjective to the 1-dimensional vector protocol.
-// MinimizePareto over the lifted objective follows the exact trajectory
-// MinimizeMove would, which is how the scalar search stays the k=1 special
-// case rather than a separate algorithm.
-func VectorOf(mo MoveObjective) VectorMoveObjective { return &scalarVector{mo: mo} }
-
-type scalarVector struct{ mo MoveObjective }
-
-func (s *scalarVector) K() int                                 { return 1 }
-func (s *scalarVector) Init(m *topo.ConnMatrix, dst []float64) { dst[0] = s.mo.Init(m) }
-func (s *scalarVector) Flip(bit int)                           { s.mo.Flip(bit) }
-func (s *scalarVector) Eval(dst []float64)                     { dst[0] = s.mo.Eval() }
-func (s *scalarVector) Commit()                                { s.mo.Commit() }
-func (s *scalarVector) Revert()                                { s.mo.Revert() }
-
-// DefaultArchiveCap bounds the non-dominated archive when ParetoOpts leaves
-// ArchiveCap unset. Frontiers here are presentation artifacts (a trade-off
-// table, a plot), so a few dozen well-spread points beat hundreds of near
-// duplicates.
-const DefaultArchiveCap = 32
-
-// ParetoOpts configures MinimizePareto beyond the shared Schedule.
-type ParetoOpts struct {
-	// ArchiveCap bounds the archive size; when an insertion overflows it the
-	// most crowded entry is pruned. <= 0 means DefaultArchiveCap.
-	ArchiveCap int
-	// Scales normalizes per-dimension deltas inside the acceptance rule:
-	// the uphill draw uses max_d(Δ_d / Scales[d]) as the scalar Δ, so
-	// dimensions with wildly different units (cycles vs watts vs bit-units)
-	// share one temperature scale. nil or non-positive entries mean 1. Scales
-	// never affect dominance, the archive, or which states are reachable
-	// downhill — only the uphill acceptance probability.
-	Scales []float64
-}
-
-// ParetoEntry is one archived placement with its objective vector.
-type ParetoEntry struct {
-	Matrix *topo.ConnMatrix
-	Row    topo.Row
-	Objs   []float64
-}
-
-// ParetoResult reports the final archive and the search statistics. The
-// counters have the same semantics as Result's; Uphill counts accepted moves
-// that were worse in at least one dimension.
-type ParetoResult struct {
-	// Entries are mutually non-dominated, with pairwise-distinct objective
-	// vectors, sorted lexicographically by Objs — a deterministic function of
-	// (init, objective, schedule, opts, seed).
-	Entries       []ParetoEntry
-	Evals         int64
-	Accepted      int64
-	Uphill        int64
-	MemoHits      int64
-	MemoMisses    int64
-	ArchivePruned int64 // entries evicted by the crowding pruner
-}
 
 // archEntry is an archive slot; seq is the insertion sequence number, the
 // deterministic tie-break everywhere order matters.
@@ -105,256 +17,146 @@ type archEntry struct {
 	seq  int
 }
 
-// MinimizePareto runs archive-based multi-objective simulated annealing from
-// the given initial matrix; the initial matrix is not modified. Moves,
-// cooling, memoization, context cancellation and early stopping follow
-// MinimizeMove exactly; what changes is acceptance (a candidate no worse in
-// every dimension is accepted outright, otherwise one uphill draw against
-// e^{-maxΔ/T} on the scale-normalized worst dimension) and best-state
-// tracking (a bounded archive of non-dominated states, pruned by crowding
-// distance). StopAfterNoImprove counts moves since the archive last changed.
-//
-// Determinism: one rng.Intn per move and one rng.Float64 per non-improving
-// move, exactly like the scalar loop; the memo and the archive never touch
-// the RNG, so same inputs + same seed give the same archive, byte for byte.
-func MinimizePareto(ctx context.Context, init *topo.ConnMatrix, vo VectorMoveObjective, opts ParetoOpts, sch Schedule, rng *stats.RNG) ParetoResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	k := vo.K()
-	archCap := opts.ArchiveCap
-	if archCap <= 0 {
-		archCap = DefaultArchiveCap
-	}
-	cur := init.Clone()
-	curObjs := make([]float64, k)
-	vo.Init(cur, curObjs)
-	res := ParetoResult{Evals: 1, MemoMisses: 1}
-	track := newObsTracker() // nil (free) unless EnableMetrics was called
-
-	arch := make([]archEntry, 0, archCap+1)
-	seq := 0
-	arch, _ = archiveInsert(arch, cur, curObjs, &seq)
-
-	bits := cur.Bits()
-	if bits == 0 || sch.Moves <= 0 {
-		finishPareto(&res, arch, track, sch.T0)
-		return res
-	}
-
-	memo := make(map[string][]float64)
-	keyBuf := cur.AppendKey(nil)
-	memo[string(keyBuf)] = append([]float64(nil), curObjs...)
-
-	candObjs := make([]float64, k)
-	temp := sch.T0
-	sinceImprove := 0
-	for move := 1; move <= sch.Moves; move++ {
-		if sch.StopAfterNoImprove > 0 && sinceImprove >= sch.StopAfterNoImprove {
-			break
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		if track != nil {
-			track.moves++
-		}
-		i := rng.Intn(bits)
-		cur.FlipAt(i)
-		vo.Flip(i)
-		keyBuf[i>>3] ^= 1 << (i & 7)
-		cand := candObjs
-		if hit, ok := memo[string(keyBuf)]; ok {
-			res.MemoHits++
-			cand = hit
-		} else {
-			vo.Eval(candObjs)
-			res.MemoMisses++
-			if len(memo) < memoCap {
-				memo[string(keyBuf)] = append([]float64(nil), candObjs...)
-			}
-		}
-		res.Evals++
-
-		// Acceptance: downhill-or-flat in every dimension is free; otherwise
-		// one draw against the worst scale-normalized uphill delta. For k=1
-		// this is exactly the scalar rule, same RNG consumption.
-		noWorse := true
-		maxDelta := math.Inf(-1)
-		for d := 0; d < k; d++ {
-			delta := cand[d] - curObjs[d]
-			if delta > 0 {
-				noWorse = false
-			}
-			if s := scaleAt(opts.Scales, d); s != 1 {
-				delta /= s
-			}
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-		}
-		accept := noWorse
-		if !accept && temp > 0 {
-			accept = rng.Float64() < math.Exp(-maxDelta/temp)
-		}
-		sinceImprove++
-		if accept {
-			vo.Commit()
-			res.Accepted++
-			if !noWorse {
-				res.Uphill++
-			}
-			copy(curObjs, cand)
-			var inserted bool
-			var pruned int
-			arch, inserted = archiveInsert(arch, cur, curObjs, &seq)
-			if inserted {
-				sinceImprove = 0
-				if len(arch) > archCap {
-					arch, pruned = archivePrune(arch, archCap)
-					res.ArchivePruned += int64(pruned)
-				}
-			}
-		} else {
-			cur.FlipAt(i)
-			vo.Revert()
-			keyBuf[i>>3] ^= 1 << (i & 7)
-		}
-
-		if sch.CoolEvery > 0 && move%sch.CoolEvery == 0 && sch.CoolDiv > 0 {
-			temp /= sch.CoolDiv
-			track.flush(paretoProxy(&res, arch), temp)
-		}
-	}
-	finishPareto(&res, arch, track, temp)
-	return res
+// archive is the bounded set of mutually non-dominated states behind
+// MinimizePareto. Entries dropped on domination or pruning park in free, so
+// later insertions copy into their matrix and vector buffers instead of
+// cloning; at k=1 every improvement recycles the entry it replaces.
+type archive struct {
+	entries []archEntry
+	free    []archEntry
+	cap     int
+	seq     int
+	dist    []float64 // crowding scratch
+	keys    []crowdKey
 }
 
-// scaleAt returns the acceptance scale for dimension d: Scales[d] when it is
-// present, positive and finite, else 1.
-func scaleAt(scales []float64, d int) float64 {
-	if d >= len(scales) {
-		return 1
-	}
-	s := scales[d]
-	if !(s > 0) || math.IsInf(s, 1) {
-		return 1
-	}
-	return s
+// newArchive returns an empty archive holding at most archCap entries after
+// each prune. Entries are presized for the default cap plus the one slot the
+// insertion that triggers a prune takes, and grow by append beyond it, so a
+// huge cap costs nothing until the search actually fills it.
+func newArchive(archCap int) *archive {
+	return &archive{entries: make([]archEntry, 0, min(archCap, DefaultArchiveCap)+1), cap: archCap}
 }
 
-// archiveInsert adds state (cur, objs) to the archive unless an existing
-// entry weakly dominates it (equal vectors included — the archive never holds
-// duplicate objective vectors). On insertion, entries the candidate
-// dominates are dropped and the matrix and vector are copied, so the archive
-// owns its state. Reports whether the archive changed.
-func archiveInsert(arch []archEntry, cur *topo.ConnMatrix, objs []float64, seq *int) ([]archEntry, bool) {
-	for _, e := range arch {
+// insert adds state (cur, objs) unless an existing entry weakly dominates it
+// (equal vectors included — the archive never holds duplicate objective
+// vectors). On insertion, entries the candidate dominates are dropped and
+// the matrix and vector are copied, so the archive owns its state. Reports
+// whether the archive changed.
+func (a *archive) insert(cur *topo.ConnMatrix, objs []float64) bool {
+	for _, e := range a.entries {
 		if stats.WeaklyDominates(e.objs, objs) {
-			return arch, false
+			return false
 		}
 	}
-	keep := arch[:0]
-	for _, e := range arch {
+	keep := a.entries[:0]
+	for _, e := range a.entries {
 		if stats.Dominates(objs, e.objs) {
+			a.free = append(a.free, e)
 			continue
 		}
 		keep = append(keep, e)
 	}
-	*seq++
-	return append(keep, archEntry{
-		m:    cur.Clone(),
-		objs: append([]float64(nil), objs...),
-		seq:  *seq,
-	}), true
+	var e archEntry
+	if n := len(a.free); n > 0 {
+		e = a.free[n-1]
+		a.free = a.free[:n-1]
+		e.m.Copy(cur)
+		copy(e.objs, objs)
+	} else {
+		e = archEntry{m: cur.Clone(), objs: slices.Clone(objs)}
+	}
+	a.seq++
+	e.seq = a.seq
+	a.entries = append(keep, e)
+	return true
 }
 
-// archivePrune evicts most-crowded entries (smallest NSGA-II crowding
-// distance; ties evict the newest entry) until the archive fits cap.
-// Extreme entries per dimension carry infinite distance, so the frontier's
-// endpoints always survive.
-func archivePrune(arch []archEntry, archCap int) ([]archEntry, int) {
+// prune evicts most-crowded entries (smallest NSGA-II crowding distance;
+// ties evict the newest entry) until the archive fits its cap, and returns
+// how many it evicted. Extreme entries per dimension carry infinite
+// distance, so the frontier's endpoints always survive.
+func (a *archive) prune() int {
 	pruned := 0
-	for len(arch) > archCap {
-		d := crowding(arch)
+	for len(a.entries) > a.cap {
+		d := a.crowding()
 		victim := 0
-		for i := 1; i < len(arch); i++ {
-			if d[i] < d[victim] || (d[i] == d[victim] && arch[i].seq > arch[victim].seq) {
+		for i := 1; i < len(a.entries); i++ {
+			if d[i] < d[victim] || (d[i] == d[victim] && a.entries[i].seq > a.entries[victim].seq) {
 				victim = i
 			}
 		}
-		arch = append(arch[:victim], arch[victim+1:]...)
+		a.free = append(a.free, a.entries[victim])
+		a.entries = slices.Delete(a.entries, victim, victim+1)
 		pruned++
 	}
-	return arch, pruned
+	return pruned
 }
 
-// crowding returns the NSGA-II crowding distance of every archive entry: per
+// crowding returns the NSGA-II crowding distance of every entry: per
 // dimension, entries are sorted by value (insertion order breaks ties) and
 // each interior entry accumulates the normalized gap between its neighbors;
-// the two boundary entries get +Inf.
-func crowding(arch []archEntry) []float64 {
-	n := len(arch)
-	d := make([]float64, n)
+// the two boundary entries get +Inf. The result aliases archive scratch.
+func (a *archive) crowding() []float64 {
+	n := len(a.entries)
+	a.dist = slices.Grow(a.dist[:0], n)[:n]
+	d := a.dist
+	clear(d)
 	if n <= 2 {
 		for i := range d {
 			d[i] = math.Inf(1)
 		}
 		return d
 	}
-	idx := make([]int, n)
-	k := len(arch[0].objs)
-	for dim := 0; dim < k; dim++ {
-		for i := range idx {
-			idx[i] = i
+	for dim := range a.entries[0].objs {
+		a.keys = a.keys[:0]
+		for i, e := range a.entries {
+			a.keys = append(a.keys, crowdKey{v: e.objs[dim], seq: e.seq, i: i})
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va, vb := arch[idx[a]].objs[dim], arch[idx[b]].objs[dim]
-			if va != vb {
-				return va < vb
-			}
-			return arch[idx[a]].seq < arch[idx[b]].seq
-		})
-		lo, hi := arch[idx[0]].objs[dim], arch[idx[n-1]].objs[dim]
-		d[idx[0]] = math.Inf(1)
-		d[idx[n-1]] = math.Inf(1)
-		if span := hi - lo; span > 0 {
+		slices.SortFunc(a.keys, compareCrowdKeys)
+		keys := a.keys
+		d[keys[0].i] = math.Inf(1)
+		d[keys[n-1].i] = math.Inf(1)
+		if span := keys[n-1].v - keys[0].v; span > 0 {
 			for i := 1; i < n-1; i++ {
-				d[idx[i]] += (arch[idx[i+1]].objs[dim] - arch[idx[i-1]].objs[dim]) / span
+				d[keys[i].i] += (keys[i+1].v - keys[i-1].v) / span
 			}
 		}
 	}
 	return d
 }
 
-// finishPareto materializes the sorted entry list and flushes observability.
-func finishPareto(res *ParetoResult, arch []archEntry, track *obsTracker, temp float64) {
-	sort.Slice(arch, func(a, b int) bool {
-		return stats.CompareLex(arch[a].objs, arch[b].objs) < 0
-	})
-	res.Entries = make([]ParetoEntry, len(arch))
-	for i, e := range arch {
-		res.Entries[i] = ParetoEntry{Matrix: e.m, Row: e.m.Row(), Objs: e.objs}
-	}
-	track.done(paretoProxy(res, arch), temp)
+// crowdKey is one entry's value in the dimension being sorted, with its
+// insertion sequence (the tie-break) and its archive index.
+type crowdKey struct {
+	v      float64
+	seq, i int
 }
 
-// paretoProxy adapts the pareto counters to the scalar Result shape the
-// shared obsTracker flushes; the best-objective gauge reports the archive's
-// lexicographic minimum in dimension 0.
-func paretoProxy(res *ParetoResult, arch []archEntry) *Result {
+func compareCrowdKeys(x, y crowdKey) int {
+	if c := cmp.Compare(x.v, y.v); c != 0 {
+		return c
+	}
+	return x.seq - y.seq
+}
+
+// best returns the archive's minimum in dimension 0, the value the
+// best-objective gauge reports.
+func (a *archive) best() float64 {
 	best := math.Inf(1)
-	for _, e := range arch {
-		if e.objs[0] < best {
-			best = e.objs[0]
-		}
+	for _, e := range a.entries {
+		best = min(best, e.objs[0])
 	}
-	return &Result{
-		Obj:        best,
-		Evals:      res.Evals,
-		Accepted:   res.Accepted,
-		Uphill:     res.Uphill,
-		MemoHits:   res.MemoHits,
-		MemoMisses: res.MemoMisses,
+	return best
+}
+
+// finish materializes the lexicographically sorted entry list and flushes
+// observability.
+func (a *archive) finish(res *ParetoResult, track *obsTracker, temp float64) {
+	slices.SortFunc(a.entries, func(x, y archEntry) int { return stats.CompareLex(x.objs, y.objs) })
+	res.Entries = make([]ParetoEntry, len(a.entries))
+	for i, e := range a.entries {
+		res.Entries[i] = ParetoEntry{Matrix: e.m, Row: e.m.Row(), Objs: e.objs}
 	}
+	track.done(res, a, temp)
 }

@@ -11,11 +11,58 @@ import (
 	"explink/internal/topo"
 )
 
-// TestMinimizeParetoScalarEquivalence pins the tentpole refactor contract:
-// the scalar search is the k=1 special case of the vector search, not a
-// sibling algorithm. MinimizePareto over VectorOf(mo) must consume the RNG
-// stream identically to MinimizeMove and land on the same best state with
-// bit-identical objective and counters.
+// referenceScalarSA is the paper's scalar search (§4.4) written out plainly:
+// one random bit flip per move, accept iff ΔL ≤ 0 or with probability
+// e^{-ΔL/T}, best state tracked on strict improvement, every candidate scored
+// by a full row evaluation. A visited set reproduces the memo accounting.
+func referenceScalarSA(init *topo.ConnMatrix, sch Schedule, rng *stats.RNG) (*topo.ConnMatrix, float64, ParetoResult) {
+	cur := init.Clone()
+	curObj := rowObj(cur.Row())
+	best, bestObj := cur.Clone(), curObj
+	res := ParetoResult{Evals: 1, MemoMisses: 1}
+	seen := map[string]bool{string(cur.AppendKey(nil)): true}
+	temp := sch.T0
+	for move := 1; move <= sch.Moves && cur.Bits() > 0; move++ {
+		i := rng.Intn(cur.Bits())
+		cur.FlipAt(i)
+		if key := string(cur.AppendKey(nil)); seen[key] {
+			res.MemoHits++
+		} else {
+			seen[key] = true
+			res.MemoMisses++
+		}
+		res.Evals++
+		candObj := rowObj(cur.Row())
+		delta := candObj - curObj
+		accept := delta <= 0
+		if !accept && temp > 0 {
+			accept = rng.Float64() < math.Exp(-delta/temp)
+		}
+		if accept {
+			res.Accepted++
+			if delta > 0 {
+				res.Uphill++
+			}
+			curObj = candObj
+			if candObj < bestObj {
+				bestObj = candObj
+				best.Copy(cur)
+			}
+		} else {
+			cur.FlipAt(i)
+		}
+		if sch.CoolEvery > 0 && move%sch.CoolEvery == 0 && sch.CoolDiv > 0 {
+			temp /= sch.CoolDiv
+		}
+	}
+	return best, bestObj, res
+}
+
+// TestMinimizeParetoScalarEquivalence pins the one-loop contract: the scalar
+// search is the k=1 special case of the vector search, not a sibling
+// algorithm. MinimizePareto over a one-dimensional objective must consume
+// the RNG stream identically to the plain scalar search and land on the same
+// best state with bit-identical objective and counters.
 func TestMinimizeParetoScalarEquivalence(t *testing.T) {
 	cases := []struct {
 		n, c  int
@@ -34,28 +81,22 @@ func TestMinimizeParetoScalarEquivalence(t *testing.T) {
 		init.Randomize(func() bool { return seedRNG.Bool(0.5) })
 		sch := DefaultSchedule().WithMoves(tc.moves)
 
-		scalar := MinimizeMove(context.Background(), init,
-			model.NewIncObjective(p), sch, stats.NewRNG(tc.seed), false)
-		vec := MinimizePareto(context.Background(), init,
-			VectorOf(model.NewIncObjective(p)), ParetoOpts{}, sch, stats.NewRNG(tc.seed))
+		refM, refObj, ref := referenceScalarSA(init, sch, stats.NewRNG(tc.seed))
+		e, vec := minimize(t, init, sch, stats.NewRNG(tc.seed))
 
-		if len(vec.Entries) != 1 {
-			t.Fatalf("n=%d c=%d: k=1 archive holds %d entries, want 1", tc.n, tc.c, len(vec.Entries))
+		if e.Objs[0] != refObj {
+			t.Errorf("n=%d c=%d: pareto best %v != scalar best %v", tc.n, tc.c, e.Objs[0], refObj)
 		}
-		e := vec.Entries[0]
-		if e.Objs[0] != scalar.Obj {
-			t.Errorf("n=%d c=%d: pareto best %v != scalar best %v", tc.n, tc.c, e.Objs[0], scalar.Obj)
+		if !e.Matrix.Equal(refM) {
+			t.Errorf("n=%d c=%d: pareto matrix %v != scalar matrix %v", tc.n, tc.c, e.Matrix, refM)
 		}
-		if !e.Row.Equal(scalar.Row) {
-			t.Errorf("n=%d c=%d: pareto row %v != scalar row %v", tc.n, tc.c, e.Row, scalar.Row)
-		}
-		if vec.Evals != scalar.Evals || vec.Accepted != scalar.Accepted ||
-			vec.Uphill != scalar.Uphill || vec.MemoHits != scalar.MemoHits ||
-			vec.MemoMisses != scalar.MemoMisses {
+		if vec.Evals != ref.Evals || vec.Accepted != ref.Accepted ||
+			vec.Uphill != ref.Uphill || vec.MemoHits != ref.MemoHits ||
+			vec.MemoMisses != ref.MemoMisses {
 			t.Errorf("n=%d c=%d: counters diverge: pareto {E%d A%d U%d H%d M%d} scalar {E%d A%d U%d H%d M%d}",
 				tc.n, tc.c,
 				vec.Evals, vec.Accepted, vec.Uphill, vec.MemoHits, vec.MemoMisses,
-				scalar.Evals, scalar.Accepted, scalar.Uphill, scalar.MemoHits, scalar.MemoMisses)
+				ref.Evals, ref.Accepted, ref.Uphill, ref.MemoHits, ref.MemoMisses)
 		}
 	}
 }
@@ -198,5 +239,111 @@ func TestMinimizeParetoCancel(t *testing.T) {
 	res := MinimizePareto(ctx, init, &testVector{}, ParetoOpts{}, DefaultSchedule(), stats.NewRNG(4))
 	if res.Evals != 1 || len(res.Entries) != 1 {
 		t.Fatalf("cancelled search did work: %d evals, %d entries", res.Evals, len(res.Entries))
+	}
+}
+
+// TestMinimizeParetoHugeArchiveCap is the regression test for caps and move
+// budgets far beyond what the search can fill: a 2^40 archive cap must not
+// try to allocate 2^40 slots, and a math.MaxInt move budget must not
+// overflow the presizing (a cancelled context ends that search at once).
+func TestMinimizeParetoHugeArchiveCap(t *testing.T) {
+	init := topo.NewConnMatrix(8, 4)
+	res := MinimizePareto(context.Background(), init, &testVector{},
+		ParetoOpts{ArchiveCap: 1 << 40}, DefaultSchedule().WithMoves(200), stats.NewRNG(1))
+	if len(res.Entries) == 0 || res.ArchivePruned != 0 {
+		t.Fatalf("huge-cap search: %d entries, %d pruned", len(res.Entries), res.ArchivePruned)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, archCap := range []int{0, 1 << 40, math.MaxInt} {
+		res = MinimizePareto(ctx, init, &testVector{},
+			ParetoOpts{ArchiveCap: archCap}, Schedule{T0: 10, Moves: math.MaxInt, CoolEvery: 1000, CoolDiv: 2}, stats.NewRNG(1))
+		if len(res.Entries) != 1 || res.Evals != 1 {
+			t.Fatalf("cap %d, MaxInt moves, cancelled: %d entries, %d evals", archCap, len(res.Entries), res.Evals)
+		}
+	}
+}
+
+// tradeoffVector is a 3-D objective that allocates nothing per move: the
+// row-mean latency plus the set-bit count and its complement, a pure
+// trade-off that keeps the archive full and the crowding pruner busy.
+type tradeoffVector struct {
+	lat     *model.IncObjective
+	set     []bool
+	ones    int
+	pending int
+	buf     [1]float64
+}
+
+func (o *tradeoffVector) K() int { return 3 }
+func (o *tradeoffVector) Init(m *topo.ConnMatrix, dst []float64) {
+	o.lat.Init(m, o.buf[:])
+	o.set = make([]bool, m.Bits())
+	o.ones = 0
+	for i, b := range m.AppendKey(nil) {
+		for j := 0; j < 8 && 8*i+j < len(o.set); j++ {
+			if b&(1<<j) != 0 {
+				o.set[8*i+j] = true
+				o.ones++
+			}
+		}
+	}
+	o.fill(dst)
+}
+func (o *tradeoffVector) Flip(bit int) {
+	o.lat.Flip(bit)
+	o.toggle(bit)
+	o.pending = bit
+}
+func (o *tradeoffVector) Eval(dst []float64) {
+	o.lat.Eval(o.buf[:])
+	o.fill(dst)
+}
+func (o *tradeoffVector) Commit() { o.lat.Commit() }
+func (o *tradeoffVector) Revert() {
+	o.lat.Revert()
+	o.toggle(o.pending)
+}
+func (o *tradeoffVector) toggle(bit int) {
+	o.set[bit] = !o.set[bit]
+	if o.set[bit] {
+		o.ones++
+	} else {
+		o.ones--
+	}
+}
+func (o *tradeoffVector) fill(dst []float64) {
+	dst[0], dst[1], dst[2] = o.buf[0], float64(o.ones), float64(len(o.set)-o.ones)
+}
+
+// TestMinimizeAllocsPerMiss pins the loop's allocation budget: a
+// default-schedule search allocates at most once per memo miss (the memo
+// key) plus a constant that does not grow with the move count — setup,
+// result materialization, memo map growth and the objective's adjacency
+// lists, which are bounded by the row's size. It holds at k=1 and at k=3
+// alike, so memo vectors, archive entries and crowding scratch are reused.
+func TestMinimizeAllocsPerMiss(t *testing.T) {
+	const slack = 512
+	for _, k := range []int{1, 3} {
+		init := topo.NewConnMatrix(16, 8)
+		seed := stats.NewRNG(5)
+		init.Randomize(func() bool { return seed.Bool(0.5) })
+		var res ParetoResult
+		allocs := testing.AllocsPerRun(3, func() {
+			var obj VectorMoveObjective = model.NewIncObjective(p)
+			if k == 3 {
+				obj = &tradeoffVector{lat: model.NewIncObjective(p)}
+			}
+			res = MinimizePareto(context.Background(), init, obj, ParetoOpts{ArchiveCap: 8}, DefaultSchedule(), stats.NewRNG(9))
+		})
+		t.Logf("k=%d: %.0f allocs, %d memo misses, %d entries, %d pruned",
+			k, allocs, res.MemoMisses, len(res.Entries), res.ArchivePruned)
+		if allocs > float64(res.MemoMisses+slack) {
+			t.Fatalf("k=%d: %.0f allocs for %d memo misses, want <= misses + %d", k, allocs, res.MemoMisses, slack)
+		}
+		if k == 3 && res.ArchivePruned == 0 {
+			t.Fatal("k=3 search never pruned; the pin does not cover the crowding path")
+		}
 	}
 }

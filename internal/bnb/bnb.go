@@ -162,7 +162,7 @@ func ExhaustiveMatrix(n, c int, p model.Params) Result {
 	if bits > 26 {
 		panic(fmt.Sprintf("bnb: exhaustive matrix space 2^%d too large", bits))
 	}
-	obj := model.RowObjective(p)
+	inc := route.NewIncremental(p.Route())
 	var best Result
 	var evals int64
 	for code := 0; code < 1<<bits; code++ {
@@ -172,7 +172,8 @@ func ExhaustiveMatrix(n, c int, p model.Params) Result {
 			m.Set(layer, router, want)
 		}
 		row := m.Row()
-		mean := obj(row)
+		inc.Reset(row)
+		mean := inc.Mean()
 		evals++
 		if evals == 1 || mean < best.Mean {
 			best.Mean = mean

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"explink/internal/model"
+	"explink/internal/route"
 	"explink/internal/topo"
 )
 
@@ -24,7 +25,9 @@ type fullSearcher struct {
 
 func fullOptimalRow(n, c int, p model.Params, useBound bool) Result {
 	mesh := topo.MeshRow(n)
-	st := &fullSearcher{n: n, c: c, obj: model.RowObjective(p), useBound: useBound}
+	scratch, rp := route.NewScratch(), p.Route()
+	obj := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+	st := &fullSearcher{n: n, c: c, obj: obj, useBound: useBound}
 	st.spans = allSpans(n)
 	st.cuts = make([]int, maxInt(n-1, 0))
 	st.best = Result{Row: mesh, Mean: st.obj(mesh)}

@@ -133,7 +133,7 @@ type Frontier struct {
 }
 
 // paretoVector adapts the objective dimensions to the annealer's
-// VectorMoveObjective protocol. The latency dimension rides on the PR 7
+// VectorMoveObjective protocol. The latency dimension rides on the
 // incremental router (model.IncObjective); power and wiring decode the
 // mirror matrix and price it with the closed-form evaluator — sim-free, so
 // every dimension is cheap inside the move loop. Not safe for concurrent
@@ -162,11 +162,11 @@ func (v *paretoVector) K() int { return len(v.dims) }
 
 func (v *paretoVector) Init(m *topo.ConnMatrix, dst []float64) {
 	v.m = m.Clone()
-	var rowMean float64
+	var rowMean [1]float64
 	if v.inc != nil {
-		rowMean = v.inc.Init(m)
+		v.inc.Init(m, rowMean[:])
 	}
-	v.fill(dst, rowMean)
+	v.fill(dst, rowMean[0])
 }
 
 func (v *paretoVector) Flip(bit int) {
@@ -178,11 +178,11 @@ func (v *paretoVector) Flip(bit int) {
 }
 
 func (v *paretoVector) Eval(dst []float64) {
-	var rowMean float64
+	var rowMean [1]float64
 	if v.inc != nil {
-		rowMean = v.inc.Eval()
+		v.inc.Eval(rowMean[:])
 	}
-	v.fill(dst, rowMean)
+	v.fill(dst, rowMean[0])
 }
 
 func (v *paretoVector) Commit() {
@@ -442,13 +442,13 @@ func (s *Solver) solveParetoUncached(ctx context.Context, c int, spec ParetoSpec
 		return nil, 0, fmt.Errorf("core: encoding initial solution: %w", err)
 	}
 
+	// The acceptance scales come from the initial vector; the annealer's own
+	// Init fully resets the objective, so one instance serves both.
 	vo := newParetoVector(spec.Objectives, s.Cfg.Params, spec.Power, width, ser)
 	initObjs := make([]float64, vo.K())
 	vo.Init(m, initObjs)
 	opts := anneal.ParetoOpts{ArchiveCap: spec.ArchiveCap, Scales: paretoScales(initObjs)}
-
-	res := anneal.MinimizePareto(ctx, m, newParetoVector(spec.Objectives, s.Cfg.Params, spec.Power, width, ser),
-		opts, s.Sched, s.rng(c, ParetoSA))
+	res := anneal.MinimizePareto(ctx, m, vo, opts, s.Sched, s.rng(c, ParetoSA))
 	evals += res.Evals
 	if ctx.Err() != nil {
 		return nil, 0, fmt.Errorf("core: C=%d pareto solve interrupted after %d evals: %w",

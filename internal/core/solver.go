@@ -18,7 +18,6 @@ import (
 	"explink/internal/anneal"
 	"explink/internal/dnc"
 	"explink/internal/model"
-	"explink/internal/route"
 	"explink/internal/runctl"
 	"explink/internal/stats"
 	"explink/internal/topo"
@@ -80,34 +79,10 @@ func (r RowSolution) String() string {
 	return fmt.Sprintf("%s %v -> %v (%d evals)", r.Algo, r.Row, r.Eval, r.Evals)
 }
 
-// rowObjective builds the SA objective: the average row head latency, with
-// an optional worst-case blend (see Solver.WorstWeight). The returned closure
-// owns a routing scratch, so it evaluates without allocating but must stay on
-// a single goroutine; SolveRow builds one per invocation.
-func (s *Solver) rowObjective() func(topo.Row) float64 {
-	w := s.WorstWeight
-	if w < 0 {
-		w = 0
-	}
-	if w > 1 {
-		w = 1
-	}
-	if w == 0 {
-		return model.RowObjective(s.Cfg.Params)
-	}
-	scratch := route.NewScratch()
-	rp := s.Cfg.Params.Route()
-	return func(r topo.Row) float64 {
-		mean, max := scratch.MeanMax(r, rp)
-		return (1-w)*mean + w*max
-	}
-}
-
-// moveObjective is rowObjective's move-aware counterpart for the annealer's
-// incremental path; it scores states bit-identically to rowObjective on the
-// decoded row (model.IncObjective's contract), so MinimizeMove results match
-// Minimize-with-rowObjective results bit for bit. Like the closure it owns
-// routing state and must stay on one goroutine.
+// moveObjective builds the SA objective: the average row head latency, with
+// an optional worst-case blend (see Solver.WorstWeight). It owns routing
+// state, so it must stay on one goroutine; SolveRow builds one per
+// invocation.
 func (s *Solver) moveObjective() *model.IncObjective {
 	return model.NewIncObjective(s.Cfg.Params).WithWorstBlend(s.WorstWeight)
 }
@@ -175,17 +150,17 @@ func (s *Solver) solveRowUncached(ctx context.Context, c int, algo Algorithm) (R
 			// The annealer tracks best-so-far starting from the initial
 			// state, so its result is never worse than the D&C placement
 			// under the active objective.
-			res := anneal.MinimizeMove(ctx, m, s.moveObjective(), s.Sched, s.rng(c, algo), false)
+			res := anneal.MinimizePareto(ctx, m, s.moveObjective(), anneal.ParetoOpts{}, s.Sched, s.rng(c, algo))
 			evals += res.Evals
-			row = res.Row
+			row = res.Entries[0].Row
 		}
 	case OnlySA:
 		m := topo.NewConnMatrix(n, c)
 		rng := s.rng(c, algo)
 		m.Randomize(func() bool { return rng.Bool(0.5) })
-		res := anneal.MinimizeMove(ctx, m, s.moveObjective(), s.Sched, rng, false)
+		res := anneal.MinimizePareto(ctx, m, s.moveObjective(), anneal.ParetoOpts{}, s.Sched, rng)
 		evals = res.Evals
-		row = res.Row
+		row = res.Entries[0].Row
 	default:
 		return RowSolution{}, fmt.Errorf("core: unknown algorithm %q", algo)
 	}

@@ -200,16 +200,17 @@ func (s *Solver) solveLineUncached(ctx context.Context, c int, algo Algorithm, w
 	startObj := model.WeightedRowMean(start, s.Cfg.Params, w)
 	evals++
 	mo := model.NewIncObjective(s.Cfg.Params).WithWeights(w)
-	res := anneal.MinimizeMove(ctx, m, mo, s.Sched, rng, false)
+	res := anneal.MinimizePareto(ctx, m, mo, anneal.ParetoOpts{}, s.Sched, rng)
 	evals += res.Evals
 	if ctx.Err() != nil {
 		return topo.Row{}, evals, runctl.Cancelled(ctx)
 	}
 	observeSolve("line", c, evals, time.Since(t0))
-	if startObj < res.Obj {
+	best := res.Entries[0]
+	if startObj < best.Objs[0] {
 		return start, evals, nil
 	}
-	return res.Row.Canonical(), evals, nil
+	return best.Row.Canonical(), evals, nil
 }
 
 // WeightedLatency scores a topology against a node-level traffic matrix:

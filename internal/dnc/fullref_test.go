@@ -7,6 +7,7 @@ import (
 
 	"explink/internal/bnb"
 	"explink/internal/model"
+	"explink/internal/route"
 	"explink/internal/topo"
 )
 
@@ -22,7 +23,9 @@ type fullGenerator struct {
 }
 
 func fullInitial(n, c int, p model.Params) Result {
-	g := &fullGenerator{p: p, obj: model.RowObjective(p), memo: make(map[[2]int]Result)}
+	scratch, rp := route.NewScratch(), p.Route()
+	obj := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+	g := &fullGenerator{p: p, obj: obj, memo: make(map[[2]int]Result)}
 	res := g.solve(n, c)
 	res.Evals = g.evals
 	return res

@@ -50,14 +50,15 @@ func AblationGenerator(o Options) (GeneratorResult, error) {
 		sch := anneal.DefaultSchedule().WithMoves(moves)
 
 		m := topo.NewConnMatrix(n, c)
-		mres := anneal.Minimize(o.ctx(), m, obj, sch, stats.NewRNG(stats.MixSeed(o.Seed, 1, uint64(moves))), false)
+		mres := anneal.MinimizePareto(o.ctx(), m, model.NewIncObjective(p), anneal.ParetoOpts{}, sch,
+			stats.NewRNG(stats.MixSeed(o.Seed, 1, uint64(moves))))
 
 		nres := anneal.MinimizeNaive(topo.MeshRow(n), c, obj, sch,
 			stats.NewRNG(stats.MixSeed(o.Seed, 2, uint64(moves))))
 
 		out.Points = append(out.Points, GeneratorPoint{
 			Moves:        moves,
-			MatrixObj:    mres.Obj,
+			MatrixObj:    mres.Entries[0].Objs[0],
 			NaiveObj:     nres.Obj,
 			NaiveInvalid: float64(nres.Invalid) / float64(nres.Moves),
 			MatrixEvals:  mres.Evals,

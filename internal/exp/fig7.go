@@ -81,7 +81,7 @@ func bestWithinBudget(ctx context.Context, cfg model.Config, c int, init dnc.Res
 		return 0, err
 	}
 	ser := model.Serialization(cfg.Mix, width)
-	obj := func(r topo.Row) float64 { return model.RowMean(r, cfg.Params) }
+	obj := model.NewIncObjective(cfg.Params)
 
 	var spent int64
 	best := 0.0
@@ -129,9 +129,9 @@ func bestWithinBudget(ctx context.Context, cfg model.Config, c int, init dnc.Res
 			m = topo.NewConnMatrix(cfg.N, c)
 			m.Randomize(func() bool { return rng.Bool(0.5) })
 		}
-		res := anneal.Minimize(ctx, m, obj, sched.WithMoves(moves), rng, false)
+		res := anneal.MinimizePareto(ctx, m, obj, anneal.ParetoOpts{}, sched.WithMoves(moves), rng)
 		spent += res.Evals
-		consider(res.Obj)
+		consider(res.Entries[0].Objs[0])
 		restart++
 		if m.Bits() == 0 {
 			break

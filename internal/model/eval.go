@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"explink/internal/route"
 	"explink/internal/topo"
@@ -52,29 +53,29 @@ func (e Eval) String() string {
 }
 
 // RowMean returns the average directional head latency over all n² ordered
-// pairs of a single row, the objective of the 1D problem P̃(n, C). It uses the
-// pooled mean-only routing fast path; single-goroutine hot loops that want to
-// skip the pool handshake should hold a route.Scratch via RowObjective.
+// pairs of a single row, the objective of the 1D problem P̃(n, C). It
+// evaluates on a pooled route.Incremental; searches that score many
+// neighboring rows should hold an IncObjective instead.
 func RowMean(row topo.Row, p Params) float64 {
-	return route.MeanDist(row, p.Route())
+	inc := rowEvaluator(row, p)
+	defer rowEvals.Put(inc)
+	return inc.Mean()
 }
 
-// RowObjective returns a closure computing RowMean backed by its own routing
-// scratch, for allocation-free evaluation in optimizer inner loops. The
-// closure is not safe for concurrent use; create one per goroutine.
-func RowObjective(p Params) func(topo.Row) float64 {
-	s := route.NewScratch()
-	rp := p.Route()
-	return func(r topo.Row) float64 { return s.MeanDist(r, rp) }
-}
+// rowEvals recycles the evaluators behind RowMean and WeightedRowMean, so
+// one-shot scoring allocates nothing once warm.
+var rowEvals sync.Pool
 
-// WeightedRowObjective is the traffic-weighted analogue of RowObjective,
-// scoring rows by WeightedRowMean against the fixed weight matrix w. The
-// closure owns a routing scratch and is not safe for concurrent use.
-func WeightedRowObjective(p Params, w [][]float64) func(topo.Row) float64 {
-	s := route.NewScratch()
+// rowEvaluator takes a pooled evaluator (or a fresh one when the pooled one
+// was built for another edge-cost model) and resets it to row.
+func rowEvaluator(row topo.Row, p Params) *route.Incremental {
 	rp := p.Route()
-	return func(r topo.Row) float64 { return s.WeightedMean(r, rp, w) }
+	inc, _ := rowEvals.Get().(*route.Incremental)
+	if inc == nil || inc.Params() != rp {
+		inc = route.NewIncremental(rp)
+	}
+	inc.Reset(row)
+	return inc
 }
 
 // EvalRow scores a row placement replicated over the whole n x n network at
@@ -219,7 +220,9 @@ func (cfg Config) MaxZeroLoad(t topo.Topology, c int) (float64, error) {
 // WeightedRowMean returns the traffic-weighted average head latency of a row,
 // Σ γ(a,b)·L_D(a,b) / Σ γ(a,b), the application-specific objective of
 // Section 5.6.4. A nil or all-zero weight matrix falls back to the uniform
-// mean. It uses the pooled mean-only routing fast path.
+// mean. Like RowMean it evaluates on a pooled route.Incremental.
 func WeightedRowMean(row topo.Row, p Params, w [][]float64) float64 {
-	return route.WeightedMean(row, p.Route(), w)
+	inc := rowEvaluator(row, p)
+	defer rowEvals.Put(inc)
+	return inc.WeightedMean(w)
 }

@@ -5,16 +5,16 @@ import (
 	"explink/internal/topo"
 )
 
-// IncObjective is the move-aware counterpart of RowObjective and
-// WeightedRowObjective for connection-matrix searches: it implements the
-// annealer's move protocol (anneal.MoveObjective) on top of a
-// route.Incremental, so a single-bit candidate re-routes only the sources
-// whose shortest paths can cross the changed spans instead of the whole row.
+// IncObjective is the production objective of connection-matrix searches: a
+// one-dimensional anneal.VectorMoveObjective on top of a route.Incremental,
+// so a single-bit candidate re-routes only the sources whose shortest paths
+// can cross the changed spans instead of the whole row.
 //
-// Values are bit-identical to the scratch-backed closures on the decoded row
-// — including the optional worst-case blend used by the core solver, computed
-// with the same (1-w)·mean + w·max expression — so searches driven by an
-// IncObjective follow exactly the same trajectory as full-evaluation runs.
+// Values are bit-identical to RowMean and WeightedRowMean on the decoded row
+// (and to re-routing the whole row from scratch) — including the optional
+// worst-case blend used by the core solver, computed as (1-w)·mean + w·max —
+// so searches driven by an IncObjective follow exactly the same trajectory
+// as full-evaluation runs.
 //
 // An IncObjective owns routing state and is not safe for concurrent use;
 // create one per goroutine (per SA run, per solver line).
@@ -58,13 +58,16 @@ func (o *IncObjective) WithWorstBlend(wgt float64) *IncObjective {
 	return o
 }
 
+// K reports one objective dimension.
+func (o *IncObjective) K() int { return 1 }
+
 // Init adopts the matrix as the current state (cloning it — the annealer owns
-// the original) and returns its objective value.
-func (o *IncObjective) Init(m *topo.ConnMatrix) float64 {
+// the original) and writes its objective value to dst[0].
+func (o *IncObjective) Init(m *topo.ConnMatrix, dst []float64) {
 	o.m = m.Clone()
 	o.inc.Reset(o.m.Row())
 	o.open = false
-	return o.score()
+	dst[0] = o.score()
 }
 
 // Flip applies the single-bit move FlipAt(bit): the mirror matrix computes
@@ -80,9 +83,9 @@ func (o *IncObjective) Flip(bit int) {
 	o.pending, o.open = bit, true
 }
 
-// Eval returns the objective value of the tracked state, syncing only the
-// dirty region accumulated since the last evaluation.
-func (o *IncObjective) Eval() float64 { return o.score() }
+// Eval writes the objective value of the tracked state to dst[0], syncing
+// only the dirty region accumulated since the last evaluation.
+func (o *IncObjective) Eval(dst []float64) { dst[0] = o.score() }
 
 // Commit accepts the pending move.
 func (o *IncObjective) Commit() {

@@ -11,40 +11,60 @@ import (
 	"explink/internal/topo"
 )
 
-// runPair runs the same annealing search twice — once through the full-eval
-// Objective path, once through the move-aware IncObjective — from identical
-// RNG streams, and asserts the two Results are bit-for-bit identical: same
-// objective, same best matrix and row, same eval/accept/memo accounting. This
-// is the contract that keeps SA trajectories, memo behavior and
-// PlacementStore keys unchanged by the incremental path.
-func runPair(t *testing.T, init *topo.ConnMatrix, obj anneal.Objective, mo anneal.MoveObjective, seed uint64) {
+// scratchObjective is the full-evaluation reference objective: it mirrors
+// the annealer's matrix and re-routes the whole decoded row on every Eval.
+type scratchObjective struct {
+	score   func(topo.Row) float64
+	m       *topo.ConnMatrix
+	pending int
+}
+
+func (o *scratchObjective) K() int { return 1 }
+func (o *scratchObjective) Init(m *topo.ConnMatrix, dst []float64) {
+	o.m = m.Clone()
+	dst[0] = o.score(o.m.Row())
+}
+func (o *scratchObjective) Flip(bit int)       { o.m.FlipAt(bit); o.pending = bit }
+func (o *scratchObjective) Eval(dst []float64) { dst[0] = o.score(o.m.Row()) }
+func (o *scratchObjective) Commit()            {}
+func (o *scratchObjective) Revert()            { o.m.FlipAt(o.pending) }
+
+// runPair runs the same annealing search twice — once through a
+// full-evaluation route.Scratch objective, once through the move-aware
+// IncObjective — from identical RNG streams, and asserts the two results are
+// bit-for-bit identical: same objective, same best matrix and row, same
+// eval/accept/memo accounting. This is the contract that keeps SA
+// trajectories, memo behavior and PlacementStore keys unchanged by the
+// incremental path.
+func runPair(t *testing.T, init *topo.ConnMatrix, full func(topo.Row) float64, mo *model.IncObjective, seed uint64) {
 	t.Helper()
 	sch := anneal.DefaultSchedule().WithMoves(2000)
-	full := anneal.Minimize(context.Background(), init, obj, sch, stats.NewRNG(seed), true)
-	inc := anneal.MinimizeMove(context.Background(), init, mo, sch, stats.NewRNG(seed), true)
-	if full.Obj != inc.Obj {
-		t.Fatalf("Obj: full %v, inc %v", full.Obj, inc.Obj)
+	ref := anneal.MinimizePareto(context.Background(), init, &scratchObjective{score: full},
+		anneal.ParetoOpts{}, sch, stats.NewRNG(seed))
+	inc := anneal.MinimizePareto(context.Background(), init, mo, anneal.ParetoOpts{}, sch, stats.NewRNG(seed))
+	if len(ref.Entries) != 1 || len(inc.Entries) != 1 {
+		t.Fatalf("k=1 archives hold %d and %d entries, want 1", len(ref.Entries), len(inc.Entries))
 	}
-	if !full.Matrix.Equal(inc.Matrix) {
-		t.Fatalf("best matrices differ:\nfull %v\ninc  %v", full.Matrix, inc.Matrix)
+	rb, ib := ref.Entries[0], inc.Entries[0]
+	if rb.Objs[0] != ib.Objs[0] {
+		t.Fatalf("Obj: full %v, inc %v", rb.Objs[0], ib.Objs[0])
 	}
-	if !full.Row.Equal(inc.Row) {
-		t.Fatalf("best rows differ: full %v, inc %v", full.Row, inc.Row)
+	if !rb.Matrix.Equal(ib.Matrix) {
+		t.Fatalf("best matrices differ:\nfull %v\ninc  %v", rb.Matrix, ib.Matrix)
 	}
-	if full.Evals != inc.Evals || full.Accepted != inc.Accepted || full.Uphill != inc.Uphill ||
-		full.MemoHits != inc.MemoHits || full.MemoMisses != inc.MemoMisses {
-		t.Fatalf("accounting differs: full {E:%d A:%d U:%d H:%d M:%d}, inc {E:%d A:%d U:%d H:%d M:%d}",
-			full.Evals, full.Accepted, full.Uphill, full.MemoHits, full.MemoMisses,
-			inc.Evals, inc.Accepted, inc.Uphill, inc.MemoHits, inc.MemoMisses)
+	if !rb.Row.Equal(ib.Row) {
+		t.Fatalf("best rows differ: full %v, inc %v", rb.Row, ib.Row)
 	}
-	if len(full.History) != len(inc.History) {
-		t.Fatalf("history lengths differ: %d vs %d", len(full.History), len(inc.History))
+	if ref.Evals != inc.Evals || ref.Accepted != inc.Accepted || ref.Uphill != inc.Uphill ||
+		ref.MemoHits != inc.MemoHits || ref.MemoMisses != inc.MemoMisses || ref.ArchivePruned != inc.ArchivePruned {
+		t.Fatalf("accounting differs: full %+v, inc %+v", counters(ref), counters(inc))
 	}
-	for i := range full.History {
-		if full.History[i] != inc.History[i] {
-			t.Fatalf("history[%d]: full %+v, inc %+v", i, full.History[i], inc.History[i])
-		}
-	}
+}
+
+// counters strips the archive from a result for failure messages.
+func counters(r anneal.ParetoResult) anneal.ParetoResult {
+	r.Entries = nil
+	return r
 }
 
 func randomInit(n, c int, seed uint64) *topo.ConnMatrix {
@@ -58,7 +78,9 @@ func TestIncObjectiveBitIdenticalMean(t *testing.T) {
 	p := model.DefaultParams()
 	for _, size := range []struct{ n, c int }{{4, 2}, {8, 3}, {16, 4}} {
 		init := randomInit(size.n, size.c, uint64(size.n))
-		runPair(t, init, model.RowObjective(p), model.NewIncObjective(p), 42+uint64(size.n))
+		scratch, rp := route.NewScratch(), p.Route()
+		full := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+		runPair(t, init, full, model.NewIncObjective(p), 42+uint64(size.n))
 	}
 }
 
@@ -73,8 +95,9 @@ func TestIncObjectiveBitIdenticalWeighted(t *testing.T) {
 			}
 		}
 		init := randomInit(size.n, size.c, 7*uint64(size.n))
-		runPair(t, init, model.WeightedRowObjective(p, w),
-			model.NewIncObjective(p).WithWeights(w), 99+uint64(size.n))
+		scratch, rp := route.NewScratch(), p.Route()
+		full := func(r topo.Row) float64 { return scratch.WeightedMean(r, rp, w) }
+		runPair(t, init, full, model.NewIncObjective(p).WithWeights(w), 99+uint64(size.n))
 	}
 }
 
@@ -106,7 +129,7 @@ func TestIncObjectiveProtocolPanics(t *testing.T) {
 				}
 			}()
 			o := model.NewIncObjective(p)
-			o.Init(topo.NewConnMatrix(8, 3))
+			o.Init(topo.NewConnMatrix(8, 3), make([]float64, 1))
 			fn(o)
 		}()
 	}
@@ -118,9 +141,10 @@ func TestIncObjectiveDoesNotRetainInit(t *testing.T) {
 	p := model.DefaultParams()
 	m := topo.NewConnMatrix(8, 3)
 	o := model.NewIncObjective(p)
-	base := o.Init(m)
+	var base, got [1]float64
+	o.Init(m, base[:])
 	m.FlipAt(0) // annealer-side mutation, not announced via Flip
-	if got := o.Eval(); got != base {
-		t.Fatalf("Eval after external mutation = %v, want %v (matrix retained?)", got, base)
+	if o.Eval(got[:]); got != base {
+		t.Fatalf("Eval after external mutation = %v, want %v (matrix retained?)", got[0], base[0])
 	}
 }

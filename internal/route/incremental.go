@@ -70,6 +70,9 @@ type incEdit struct {
 // Reset before the first query; buffers grow to the largest row seen.
 func NewIncremental(p Params) *Incremental { return &Incremental{p: p} }
 
+// Params returns the edge-cost model the evaluator scores with.
+func (inc *Incremental) Params() Params { return inc.p }
+
 // N returns the router count of the current row (0 before the first Reset).
 func (inc *Incremental) N() int { return inc.n }
 

@@ -2,29 +2,21 @@ package route
 
 import (
 	"math"
-	"slices"
-	"sync"
 
 	"explink/internal/topo"
 )
 
-// Scratch holds reusable buffers for row-path computation so that the
-// optimizer hot loops (simulated annealing, divide and conquer, branch and
-// bound) evaluate placements without allocating. A Scratch grows lazily to
-// the largest row it has seen and is NOT safe for concurrent use: give each
-// goroutine (each SA run, each solver line) its own instance, or use the
-// pooled package functions MeanDist, MeanMax and WeightedMean.
-//
-// The *RowPaths returned by ComputeInto is owned by the scratch and is only
-// valid until the next ComputeInto call on the same scratch; callers that
-// need to keep the tables must copy them.
+// Scratch is the full-evaluation reference for Incremental: it re-routes
+// every source of a row from scratch with reusable buffers, without keeping
+// any state between rows. Production code scores rows through Incremental
+// (and Compute for full tables); Scratch remains as the oracle that the
+// fuzz target, the full-reference search drivers and the perf smokes compare
+// against. A Scratch grows lazily to the largest row it has seen and is not
+// safe for concurrent use.
 type Scratch struct {
 	inRight [][]int // incoming rightward edges per router, reused across rows
 	inLeft  [][]int // incoming leftward edges per router
 	dist    []float64
-	parent  []int
-	spans   []topo.Span // canonical-order span copy for ComputeInto
-	rp      *RowPaths
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -36,17 +28,14 @@ func (s *Scratch) ensure(n int) {
 		return
 	}
 	s.dist = make([]float64, n)
-	s.parent = make([]int, n)
 	old := len(s.inRight)
 	s.inRight = append(s.inRight, make([][]int, n-old)...)
 	s.inLeft = append(s.inLeft, make([][]int, n-old)...)
 }
 
-// buildAdj fills the incoming-edge lists for the row. When canonical is true
-// the express spans are visited in canonical order (matching Compute
-// bit-for-bit, including tie-breaks in Next); the fast paths skip the sort
-// because shortest-path distances do not depend on edge order.
-func (s *Scratch) buildAdj(row topo.Row, canonical bool) {
+// buildAdj fills the incoming-edge lists for the row. Spans are visited in
+// row order: shortest-path distances do not depend on edge order.
+func (s *Scratch) buildAdj(row topo.Row) {
 	n := row.N
 	s.ensure(n)
 	for v := 0; v < n; v++ {
@@ -59,13 +48,7 @@ func (s *Scratch) buildAdj(row topo.Row, canonical bool) {
 	for v := 0; v < n-1; v++ {
 		s.inLeft[v] = append(s.inLeft[v], v+1)
 	}
-	spans := row.Express
-	if canonical {
-		s.spans = append(s.spans[:0], row.Express...)
-		slices.SortFunc(s.spans, topo.CompareSpans)
-		spans = s.spans
-	}
-	for _, sp := range spans {
+	for _, sp := range row.Express {
 		s.inRight[sp.To] = append(s.inRight[sp.To], sp.From)
 		s.inLeft[sp.From] = append(s.inLeft[sp.From], sp.To)
 	}
@@ -111,7 +94,7 @@ func (s *Scratch) distRow(i, n int, p Params) {
 // bit-identical to Compute(row, p).MeanDist().
 func (s *Scratch) MeanMax(row topo.Row, p Params) (mean, max float64) {
 	n := row.N
-	s.buildAdj(row, false)
+	s.buildAdj(row)
 	var sum float64
 	for i := 0; i < n; i++ {
 		s.distRow(i, n, p)
@@ -141,7 +124,7 @@ func (s *Scratch) MeanDist(row topo.Row, p Params) float64 {
 // folding them, but without the n x n allocations.
 func (s *Scratch) WeightedMean(row topo.Row, p Params, w [][]float64) float64 {
 	n := row.N
-	s.buildAdj(row, false)
+	s.buildAdj(row)
 	var sum, num, den float64
 	for i := 0; i < n; i++ {
 		s.distRow(i, n, p)
@@ -160,111 +143,4 @@ func (s *Scratch) WeightedMean(row topo.Row, p Params, w [][]float64) float64 {
 		return sum / float64(n*n)
 	}
 	return num / den
-}
-
-// ComputeInto computes the full directional shortest-path tables (Dist, Next,
-// Hops, Units) into the scratch's reusable RowPaths, producing exactly the
-// same tables as Compute. The returned pointer aliases scratch-owned memory;
-// see the type comment for the reuse contract.
-func (s *Scratch) ComputeInto(row topo.Row, p Params) *RowPaths {
-	n := row.N
-	s.buildAdj(row, true)
-	if s.rp == nil || s.rp.N != n {
-		s.rp = newRowPaths(n)
-	}
-	rp := s.rp
-	for i := 0; i < n; i++ {
-		parent := s.parent[:n]
-		for v := range parent {
-			parent[v] = -1
-		}
-		rp.Dist[i][i] = 0
-		rp.Next[i][i] = i
-		rp.Hops[i][i] = 0
-		rp.Units[i][i] = 0
-		for v := i + 1; v < n; v++ {
-			best := math.Inf(1)
-			bestU := -1
-			for _, u := range s.inRight[v] {
-				if u < i || math.IsInf(rp.Dist[i][u], 1) {
-					continue
-				}
-				if d := rp.Dist[i][u] + p.EdgeCost(v-u); d < best {
-					best, bestU = d, u
-				}
-			}
-			rp.Dist[i][v] = best
-			parent[v] = bestU
-			if bestU >= 0 {
-				rp.Hops[i][v] = rp.Hops[i][bestU] + 1
-				rp.Units[i][v] = rp.Units[i][bestU] + (v - bestU)
-			}
-		}
-		for v := i - 1; v >= 0; v-- {
-			best := math.Inf(1)
-			bestU := -1
-			for _, u := range s.inLeft[v] {
-				if u > i || math.IsInf(rp.Dist[i][u], 1) {
-					continue
-				}
-				if d := rp.Dist[i][u] + p.EdgeCost(u-v); d < best {
-					best, bestU = d, u
-				}
-			}
-			rp.Dist[i][v] = best
-			parent[v] = bestU
-			if bestU >= 0 {
-				rp.Hops[i][v] = rp.Hops[i][bestU] + 1
-				rp.Units[i][v] = rp.Units[i][bestU] + (bestU - v)
-			}
-		}
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if parent[j] < 0 {
-				rp.Next[i][j] = -1
-				rp.Hops[i][j] = 0
-				rp.Units[i][j] = 0
-				continue
-			}
-			v := j
-			for parent[v] != i {
-				v = parent[v]
-			}
-			rp.Next[i][j] = v
-		}
-	}
-	return rp
-}
-
-// scratchPool backs the package-level convenience evaluators so that callers
-// without a natural place to hold a Scratch (e.g. model.RowMean) still run
-// allocation-free.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// MeanDist returns Compute(row, p).MeanDist() using a pooled scratch.
-func MeanDist(row topo.Row, p Params) float64 {
-	s := scratchPool.Get().(*Scratch)
-	mean := s.MeanDist(row, p)
-	scratchPool.Put(s)
-	return mean
-}
-
-// MeanMax returns Compute(row, p).MeanDist() and MaxDist() using a pooled
-// scratch.
-func MeanMax(row topo.Row, p Params) (mean, max float64) {
-	s := scratchPool.Get().(*Scratch)
-	mean, max = s.MeanMax(row, p)
-	scratchPool.Put(s)
-	return mean, max
-}
-
-// WeightedMean returns the weighted pair-distance average using a pooled
-// scratch; see Scratch.WeightedMean for the fallback contract.
-func WeightedMean(row topo.Row, p Params, w [][]float64) float64 {
-	s := scratchPool.Get().(*Scratch)
-	m := s.WeightedMean(row, p, w)
-	scratchPool.Put(s)
-	return m
 }

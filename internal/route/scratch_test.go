@@ -8,35 +8,6 @@ import (
 	"explink/internal/topo"
 )
 
-func TestComputeIntoMatchesCompute(t *testing.T) {
-	// One scratch across rows of varying sizes: every table must come back
-	// identical to a fresh Compute, proving buffer reuse leaks no stale state.
-	rng := stats.NewRNG(101)
-	s := NewScratch()
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + rng.Intn(14)
-		c := 1 + rng.Intn(6)
-		row := randomRow(rng, n, c)
-		want := Compute(row, testParams)
-		got := s.ComputeInto(row, testParams)
-		if got.N != want.N {
-			t.Fatalf("N = %d, want %d", got.N, want.N)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if got.Dist[i][j] != want.Dist[i][j] ||
-					got.Next[i][j] != want.Next[i][j] ||
-					got.Hops[i][j] != want.Hops[i][j] ||
-					got.Units[i][j] != want.Units[i][j] {
-					t.Fatalf("trial %d: mismatch at (%d,%d): dist %g/%g next %d/%d hops %d/%d units %d/%d (row %v)",
-						trial, i, j, got.Dist[i][j], want.Dist[i][j], got.Next[i][j], want.Next[i][j],
-						got.Hops[i][j], want.Hops[i][j], got.Units[i][j], want.Units[i][j], row)
-				}
-			}
-		}
-	}
-}
-
 func TestFastPathAgreesWithFloydWarshall(t *testing.T) {
 	// The mean-only fast path must agree with the paper's double
 	// Floyd-Warshall construction on randomized rows.
@@ -54,23 +25,17 @@ func TestFastPathAgreesWithFloydWarshall(t *testing.T) {
 		if math.Abs(max-fw.MaxDist()) > 1e-9 {
 			t.Fatalf("trial %d: max %g vs FW %g (row %v)", trial, max, fw.MaxDist(), row)
 		}
-		full := s.ComputeInto(row, testParams)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if math.Abs(full.Dist[i][j]-fw.Dist[i][j]) > 1e-9 {
-					t.Fatalf("trial %d: ComputeInto dist(%d,%d) = %g, FW %g", trial, i, j, full.Dist[i][j], fw.Dist[i][j])
-				}
-			}
-		}
 	}
 }
 
 func TestFastPathBitIdenticalToTables(t *testing.T) {
-	// Stronger than the FW tolerance check: the fast path accumulates in the
+	// Stronger than the FW tolerance check: the fast paths accumulate in the
 	// same pair order as RowPaths.MeanDist, so the floats must be exactly
-	// equal — the SA determinism guarantees rely on this.
+	// equal — the SA determinism guarantees rely on this. One Incremental is
+	// reset across rows of varying sizes, the way one-shot scoring reuses it.
 	rng := stats.NewRNG(303)
 	s := NewScratch()
+	inc := NewIncremental(testParams)
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(14)
 		row := randomRow(rng, n, 4)
@@ -80,12 +45,13 @@ func TestFastPathBitIdenticalToTables(t *testing.T) {
 			t.Fatalf("trial %d: fast path (%v, %v) != tables (%v, %v)",
 				trial, mean, max, rp.MeanDist(), rp.MaxDist())
 		}
-		if got := MeanDist(row, testParams); got != mean {
-			t.Fatalf("pooled MeanDist %v != scratch %v", got, mean)
+		inc.Reset(row)
+		if got := inc.Mean(); got != mean {
+			t.Fatalf("reset Incremental Mean %v != scratch %v", got, mean)
 		}
-		pm, px := MeanMax(row, testParams)
-		if pm != mean || px != max {
-			t.Fatalf("pooled MeanMax (%v, %v) != scratch (%v, %v)", pm, px, mean, max)
+		im, ix := inc.MeanMax()
+		if im != mean || ix != max {
+			t.Fatalf("reset Incremental MeanMax (%v, %v) != scratch (%v, %v)", im, ix, mean, max)
 		}
 	}
 }
@@ -93,6 +59,7 @@ func TestFastPathBitIdenticalToTables(t *testing.T) {
 func TestWeightedMeanMatchesTables(t *testing.T) {
 	rng := stats.NewRNG(404)
 	s := NewScratch()
+	inc := NewIncremental(testParams)
 	for trial := 0; trial < 100; trial++ {
 		n := 3 + rng.Intn(14)
 		row := randomRow(rng, n, 4)
@@ -123,8 +90,9 @@ func TestWeightedMeanMatchesTables(t *testing.T) {
 		if got := s.WeightedMean(row, testParams, w); got != want {
 			t.Fatalf("trial %d: weighted mean %v, want %v", trial, got, want)
 		}
-		if got := WeightedMean(row, testParams, w); got != want {
-			t.Fatalf("trial %d: pooled weighted mean %v, want %v", trial, got, want)
+		inc.Reset(row)
+		if got := inc.WeightedMean(w); got != want {
+			t.Fatalf("trial %d: reset Incremental weighted mean %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -153,12 +121,6 @@ func TestScratchAllocationFree(t *testing.T) {
 		s.MeanMax(row, testParams)
 	}); allocs != 0 {
 		t.Fatalf("MeanMax allocates %.1f times per run", allocs)
-	}
-	s.ComputeInto(row, testParams)
-	if allocs := testing.AllocsPerRun(100, func() {
-		s.ComputeInto(row, testParams)
-	}); allocs != 0 {
-		t.Fatalf("ComputeInto allocates %.1f times per run after warm-up", allocs)
 	}
 }
 

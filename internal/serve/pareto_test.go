@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"explink/internal/api"
 )
@@ -102,5 +105,68 @@ func TestStdioPareto(t *testing.T) {
 	ss.recv(t)
 	if err := <-ss.done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParetoHugeArchiveCap is the regression test for an archive cap far
+// beyond what a search can fill: it passes validation, so both transports
+// must answer it normally instead of sizing the archive from the cap.
+func TestParetoHugeArchiveCap(t *testing.T) {
+	const req = `{"n":8,"c":4,"archiveCap":1099511627776}`
+	srv, ts := newTestServer(t, Config{})
+	code, buf := post(t, ts.URL+"/v1/pareto", req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, buf)
+	}
+	var pr api.ParetoResponse
+	if err := json.Unmarshal(buf, &pr); err != nil || len(pr.Points) == 0 {
+		t.Fatalf("pareto response %s (%v)", buf, err)
+	}
+
+	ss := startStdio(t, srv)
+	ss.send(t, `{"id":1,"op":"pareto","req":`+req+`}`)
+	resp := ss.recv(t)
+	if !resp.OK || resp.Error != nil {
+		t.Fatalf("stdio pareto: %+v", resp)
+	}
+	var sr api.ParetoResponse
+	if err := json.Unmarshal(resp.Result, &sr); err != nil || len(sr.Points) != len(pr.Points) {
+		t.Fatalf("stdio pareto result %s (%v), want %d points", resp.Result, err, len(pr.Points))
+	}
+	ss.send(t, `{"id":2,"op":"shutdown"}`)
+	ss.recv(t)
+	if err := <-ss.done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHugeMoveBudgetAnswersOnDeadline is the regression test for a move
+// budget of math.MaxInt: it passes validation, so on both transports a solve
+// or pareto request with a short deadline must come back as a cancelled
+// error instead of crashing the daemon while sizing the search.
+func TestHugeMoveBudgetAnswersOnDeadline(t *testing.T) {
+	const body = `{"n":8,"c":4,"moves":9223372036854775807}`
+	srv := New(Config{})
+	for _, op := range []string{"solve", "pareto"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req := httptest.NewRequest(http.MethodPost, "/v1/"+op, strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		cancel()
+		var resp struct {
+			Error api.ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code == http.StatusOK || resp.Error.Kind != "cancelled" {
+			t.Fatalf("HTTP %s: status %d: %s (%v)", op, rec.Code, rec.Body.Bytes(), err)
+		}
+
+		ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
+		var out bytes.Buffer
+		err := srv.ServeStdio(ctx, strings.NewReader(`{"id":1,"op":"`+op+`","req":`+body+"}\n"), &syncWriter{w: &out})
+		cancel()
+		var line stdioResponse
+		if err != nil || json.Unmarshal(out.Bytes(), &line) != nil || line.OK || line.Error == nil || line.Error.Kind != "cancelled" {
+			t.Fatalf("stdio %s: %v: %s", op, err, out.Bytes())
+		}
 	}
 }
