@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"io"
+	"math"
 
 	"explink/internal/core"
 	"explink/internal/model"
@@ -41,19 +42,26 @@ type SolveResponse struct {
 // NewSolveResponse assembles the wire response from solver results.
 func NewSolveResponse(best core.RowSolution, all []core.RowSolution) SolveResponse {
 	out := SolveResponse{Best: SolutionOf(best)}
-	for _, s := range all {
-		out.All = append(out.All, SolutionOf(s))
+	if len(all) > 0 {
+		out.All = make([]Solution, len(all))
+		for i, s := range all {
+			out.All[i] = SolutionOf(s)
+		}
 	}
 	return out
 }
 
 // Encode writes the response as indented JSON with a trailing newline — the
 // exact bytes of `explink -json`, which is what makes daemon solve responses
-// byte-comparable against CLI output.
+// byte-comparable against CLI output. The bytes go out in one Write, and a
+// response that cannot be encoded (a non-finite float) writes nothing.
 func (r SolveResponse) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	buf, err := r.appendJSON(make([]byte, 0, r.jsonSize()))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // EvalRequest asks for the latency of a given placement without solving:
@@ -104,6 +112,7 @@ func (r *EvalRequest) Validate() error {
 		if len(r.Weights) != nn {
 			return configErr("traffic matrix has %d rows, want %d", len(r.Weights), nn)
 		}
+		var total float64
 		for i, wr := range r.Weights {
 			if len(wr) != nn {
 				return configErr("traffic matrix row %d has %d columns, want %d", i, len(wr), nn)
@@ -112,7 +121,13 @@ func (r *EvalRequest) Validate() error {
 				if v < 0 {
 					return configErr("negative traffic %g at (%d,%d)", v, i, j)
 				}
+				total += v
 			}
+		}
+		// The weighted mean divides by the total, so a total that overflows
+		// would turn every latency into NaN.
+		if math.IsInf(total, 0) || math.IsNaN(total) {
+			return configErr("traffic matrix total weight %g is not finite", total)
 		}
 	}
 	return nil
@@ -147,6 +162,10 @@ func (r *EvalRequest) Eval() (EvalResponse, error) {
 	}
 	if err != nil {
 		return EvalResponse{}, configErr("%v", err)
+	}
+	// A finite total can still overflow the weighted sum of latencies.
+	if math.IsInf(ev.Total, 0) || math.IsNaN(ev.Total) {
+		return EvalResponse{}, configErr("traffic weights too large: latency %g is not finite", ev.Total)
 	}
 	return EvalResponse{
 		C: ev.C, Width: ev.Width, Head: ev.Head, Ser: ev.Ser, Total: ev.Total,

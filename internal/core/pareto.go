@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -376,7 +377,7 @@ func (s *Solver) solveParetoC(ctx context.Context, c int, spec ParetoSpec) ([]Fr
 	entries := make([]FrontierEntry, meta.Count)
 	for i := 0; i < meta.Count; i++ {
 		i := i
-		sp, _, err := s.Store.GetOrCompute(base+fmt.Sprintf("frontier=entry:%d\n", i), func() (StoredPlacement, error) {
+		sp, _, err := s.Store.GetOrCompute(base+"frontier=entry:"+strconv.Itoa(i)+"\n", func() (StoredPlacement, error) {
 			once.Do(run)
 			if computeErr != nil {
 				return StoredPlacement{}, computeErr
@@ -498,20 +499,29 @@ func (s *Solver) solveParetoUncached(ctx context.Context, c int, spec ParetoSpec
 // can never collide with scalar row/line entries (different kind=) or with
 // each other.
 func (s *Solver) paretoKey(c int, spec ParetoSpec) string {
-	var b strings.Builder
-	s.configKey(&b)
-	fmt.Fprintf(&b, "kind=pareto\nalgo=%s\nc=%d\narchive=%d\n", ParetoSA, c, spec.ArchiveCap)
-	b.WriteString("objectives=")
+	b := s.configKey(make([]byte, 0, keyBufSize))
+	b = kindKey(b, "pareto", ParetoSA, c)
+	b = append(b, "archive="...)
+	b = appendInt(b, spec.ArchiveCap)
+	b = append(b, "\nobjectives="...)
 	for i, o := range spec.Objectives {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(string(o))
+		b = append(b, o...)
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "power=%s,%s,%s,%s,%d,%s\n",
-		fnum(spec.Power.Static.BufPerBit), fnum(spec.Power.Static.XbarPerBK2),
-		fnum(spec.Power.Static.OtherPerPort), fnum(spec.Power.Static.OtherBase),
-		spec.Power.BufBitsPerRouter, fnum(spec.Power.WirePerBitUnit))
-	return b.String()
+	st := spec.Power.Static
+	b = append(b, "\npower="...)
+	b = appendNum(b, st.BufPerBit)
+	b = append(b, ',')
+	b = appendNum(b, st.XbarPerBK2)
+	b = append(b, ',')
+	b = appendNum(b, st.OtherPerPort)
+	b = append(b, ',')
+	b = appendNum(b, st.OtherBase)
+	b = append(b, ',')
+	b = appendInt(b, spec.Power.BufBitsPerRouter)
+	b = append(b, ',')
+	b = appendNum(b, spec.Power.WirePerBitUnit)
+	return string(append(b, '\n'))
 }

@@ -246,7 +246,9 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 // preimage) used as map key and disk file name.
 func keyAddress(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
+	var addr [2 * sha256.Size]byte
+	hex.Encode(addr[:], sum[:])
+	return string(addr[:])
 }
 
 // diskEntry is the persisted form: the full key preimage rides along so a
@@ -320,40 +322,84 @@ func (st *PlacementStore) saveDisk(addr, key string, sp StoredPlacement) {
 
 // ---- canonical key derivation ----
 
-// fnum formats a float with the shortest representation that round-trips,
-// so the preimage is canonical for every representable value.
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// The key preimage is a newline-separated list of "name=value" fields built
+// by appending into one buffer. Its bytes are the store's on-disk contract:
+// they must stay exactly what the fmt-based builder the format was defined
+// with prints (store_test.go keeps it as the oracle), or every stored
+// address changes.
 
-// configKey writes the solver-wide key fields shared by row and line solves:
-// everything on the Solver that can change a solution. Workers is explicitly
-// excluded — output is bit-identical for any worker count.
-func (s *Solver) configKey(b *strings.Builder) {
-	b.WriteString(storeVersion)
-	b.WriteByte('\n')
-	fmt.Fprintf(b, "n=%d\n", s.Cfg.N)
-	fmt.Fprintf(b, "params=%s,%s,%s\n",
-		fnum(s.Cfg.Params.RouterDelay), fnum(s.Cfg.Params.LinkDelay), fnum(s.Cfg.Params.Contention))
-	b.WriteString("mix=")
+// keyBufSize covers a default-config row or pareto preimage, so building a
+// key allocates only the final string.
+const keyBufSize = 320
+
+// appendNum appends a float with the shortest representation that
+// round-trips, so the preimage is canonical for every representable value.
+func appendNum(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// configKey appends the solver-wide key fields shared by row and line
+// solves: everything on the Solver that can change a solution. Workers is
+// explicitly excluded — output is bit-identical for any worker count.
+func (s *Solver) configKey(b []byte) []byte {
+	b = append(b, storeVersion...)
+	b = append(b, "\nn="...)
+	b = appendInt(b, s.Cfg.N)
+	b = append(b, "\nparams="...)
+	b = appendNum(b, s.Cfg.Params.RouterDelay)
+	b = append(b, ',')
+	b = appendNum(b, s.Cfg.Params.LinkDelay)
+	b = append(b, ',')
+	b = appendNum(b, s.Cfg.Params.Contention)
+	b = append(b, "\nmix="...)
 	for i, c := range s.Cfg.Mix {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(b, "%s:%d:%s", c.Name, c.Bits, fnum(c.Frac))
+		b = append(b, c.Name...)
+		b = append(b, ':')
+		b = appendInt(b, c.Bits)
+		b = append(b, ':')
+		b = appendNum(b, c.Frac)
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(b, "bw=%d,%d,%d\n", s.Cfg.BW.BaseWidth, s.Cfg.BW.MaxWidth, s.Cfg.BW.MinWidth)
-	fmt.Fprintf(b, "worst=%s\n", fnum(s.WorstWeight))
-	fmt.Fprintf(b, "seed=%d\n", s.Seed)
-	fmt.Fprintf(b, "sched=%s,%d,%d,%s,%d\n",
-		fnum(s.Sched.T0), s.Sched.Moves, s.Sched.CoolEvery, fnum(s.Sched.CoolDiv), s.Sched.StopAfterNoImprove)
+	b = append(b, "\nbw="...)
+	b = appendInt(b, s.Cfg.BW.BaseWidth)
+	b = append(b, ',')
+	b = appendInt(b, s.Cfg.BW.MaxWidth)
+	b = append(b, ',')
+	b = appendInt(b, s.Cfg.BW.MinWidth)
+	b = append(b, "\nworst="...)
+	b = appendNum(b, s.WorstWeight)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendUint(b, s.Seed, 10)
+	b = append(b, "\nsched="...)
+	b = appendNum(b, s.Sched.T0)
+	b = append(b, ',')
+	b = appendInt(b, s.Sched.Moves)
+	b = append(b, ',')
+	b = appendInt(b, s.Sched.CoolEvery)
+	b = append(b, ',')
+	b = appendNum(b, s.Sched.CoolDiv)
+	b = append(b, ',')
+	b = appendInt(b, s.Sched.StopAfterNoImprove)
+	return append(b, '\n')
+}
+
+// kindKey appends the fields that open every solve-specific key section.
+func kindKey(b []byte, kind string, algo Algorithm, c int) []byte {
+	b = append(b, "kind="...)
+	b = append(b, kind...)
+	b = append(b, "\nalgo="...)
+	b = append(b, algo...)
+	b = append(b, "\nc="...)
+	b = appendInt(b, c)
+	return append(b, '\n')
 }
 
 // rowKey is the canonical preimage for the uniform row solve P̃(n, C).
 func (s *Solver) rowKey(c int, algo Algorithm) string {
-	var b strings.Builder
-	s.configKey(&b)
-	fmt.Fprintf(&b, "kind=row\nalgo=%s\nc=%d\n", algo, c)
-	return b.String()
+	b := s.configKey(make([]byte, 0, keyBufSize))
+	return string(kindKey(b, "row", algo, c))
 }
 
 // lineKey is the canonical preimage for one weighted line solve of
@@ -361,20 +407,21 @@ func (s *Solver) rowKey(c int, algo Algorithm) string {
 // (two lines with identical weights still draw from distinct streams, so the
 // salt is part of what determines the output).
 func (s *Solver) lineKey(c int, algo Algorithm, w [][]float64, salt int64) string {
-	var b strings.Builder
-	s.configKey(&b)
-	fmt.Fprintf(&b, "kind=line\nalgo=%s\nc=%d\nsalt=%d\nweights=", algo, c, salt)
+	b := s.configKey(make([]byte, 0, keyBufSize+24*len(w)*len(w)))
+	b = kindKey(b, "line", algo, c)
+	b = append(b, "salt="...)
+	b = strconv.AppendInt(b, salt, 10)
+	b = append(b, "\nweights="...)
 	for i, row := range w {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		for j, v := range row {
 			if j > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(fnum(v))
+			b = appendNum(b, v)
 		}
 	}
-	b.WriteByte('\n')
-	return b.String()
+	return string(append(b, '\n'))
 }

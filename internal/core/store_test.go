@@ -3,15 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"explink/internal/model"
+	"explink/internal/power"
 	"explink/internal/runctl"
 	"explink/internal/stats"
 )
@@ -525,4 +529,182 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 	}
 	close(releaseSlow)
 	<-slowDone
+}
+
+// ---- key-preimage oracle ----
+//
+// The fmt-based builder below is the one the store's preimage format was
+// defined with. Production builds the same bytes by appending; any drift
+// would move every stored address, so the two are compared field by field.
+
+func fmtNum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func fmtConfigKey(s *Solver, b *strings.Builder) {
+	b.WriteString(storeVersion)
+	b.WriteByte('\n')
+	fmt.Fprintf(b, "n=%d\n", s.Cfg.N)
+	fmt.Fprintf(b, "params=%s,%s,%s\n",
+		fmtNum(s.Cfg.Params.RouterDelay), fmtNum(s.Cfg.Params.LinkDelay), fmtNum(s.Cfg.Params.Contention))
+	b.WriteString("mix=")
+	for i, c := range s.Cfg.Mix {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		fmt.Fprintf(b, "%s:%d:%s", c.Name, c.Bits, fmtNum(c.Frac))
+	}
+	b.WriteByte('\n')
+	fmt.Fprintf(b, "bw=%d,%d,%d\n", s.Cfg.BW.BaseWidth, s.Cfg.BW.MaxWidth, s.Cfg.BW.MinWidth)
+	fmt.Fprintf(b, "worst=%s\n", fmtNum(s.WorstWeight))
+	fmt.Fprintf(b, "seed=%d\n", s.Seed)
+	fmt.Fprintf(b, "sched=%s,%d,%d,%s,%d\n",
+		fmtNum(s.Sched.T0), s.Sched.Moves, s.Sched.CoolEvery, fmtNum(s.Sched.CoolDiv), s.Sched.StopAfterNoImprove)
+}
+
+func fmtRowKey(s *Solver, c int, algo Algorithm) string {
+	var b strings.Builder
+	fmtConfigKey(s, &b)
+	fmt.Fprintf(&b, "kind=row\nalgo=%s\nc=%d\n", algo, c)
+	return b.String()
+}
+
+func fmtLineKey(s *Solver, c int, algo Algorithm, w [][]float64, salt int64) string {
+	var b strings.Builder
+	fmtConfigKey(s, &b)
+	fmt.Fprintf(&b, "kind=line\nalgo=%s\nc=%d\nsalt=%d\nweights=", algo, c, salt)
+	for i, row := range w {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		for j, v := range row {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(fmtNum(v))
+		}
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
+func fmtParetoKey(s *Solver, c int, spec ParetoSpec) string {
+	var b strings.Builder
+	fmtConfigKey(s, &b)
+	fmt.Fprintf(&b, "kind=pareto\nalgo=%s\nc=%d\narchive=%d\n", ParetoSA, c, spec.ArchiveCap)
+	b.WriteString("objectives=")
+	for i, o := range spec.Objectives {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(o))
+	}
+	b.WriteByte('\n')
+	fmt.Fprintf(&b, "power=%s,%s,%s,%s,%d,%s\n",
+		fmtNum(spec.Power.Static.BufPerBit), fmtNum(spec.Power.Static.XbarPerBK2),
+		fmtNum(spec.Power.Static.OtherPerPort), fmtNum(spec.Power.Static.OtherBase),
+		spec.Power.BufBitsPerRouter, fmtNum(spec.Power.WirePerBitUnit))
+	return b.String()
+}
+
+// TestStoreKeysMatchFmtOracle compares the appended preimages with the fmt
+// oracle across solvers whose every key field is pushed to an edge: edited
+// params and mix, the largest seed, negative zero, tiny and huge floats, and
+// several objective lists and power models.
+func TestStoreKeysMatchFmtOracle(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	solvers := map[string]func() *Solver{
+		"default": func() *Solver { return NewSolver(model.DefaultConfig(8)) },
+		"quick16": func() *Solver { return quickSolver(16) },
+		"params": func() *Solver {
+			s := NewSolver(model.DefaultConfig(8))
+			s.Cfg.Params = model.Params{RouterDelay: 2.5, LinkDelay: 1.0 / 3, Contention: 1e-9}
+			return s
+		},
+		"mix": func() *Solver {
+			s := NewSolver(model.DefaultConfig(8))
+			s.Cfg.Mix = []model.PacketClass{
+				{Name: "ctl", Bits: 64, Frac: 0.1},
+				{Name: "data", Bits: 576, Frac: 0.7},
+				{Name: "", Bits: -8, Frac: 0.2},
+			}
+			return s
+		},
+		"edges": func() *Solver {
+			s := NewSolver(model.DefaultConfig(2))
+			s.Seed = math.MaxUint64
+			s.WorstWeight = negZero
+			s.Cfg.Mix = nil
+			s.Cfg.BW = model.Bandwidth{BaseWidth: math.MaxInt, MaxWidth: math.MinInt, MinWidth: 0}
+			s.Cfg.Params.Contention = 5e-324
+			s.Sched.T0 = 1e21
+			s.Sched.Moves = math.MaxInt
+			s.Sched.CoolDiv = 1e-7
+			s.Sched.StopAfterNoImprove = -1
+			return s
+		},
+	}
+	weights := map[string][][]float64{
+		"nil":    nil,
+		"zeros":  {{0, 0}, {0, 0}},
+		"tiny":   {{5e-324, 1e-7, 1e-6}, {negZero, 0.1, 1e21}, {1e20, 123456789, math.MaxFloat64}},
+		"ragged": {{1}, {}, {2.5, 3}},
+	}
+	def := power.DefaultModel()
+	edited := def
+	edited.Static.BufPerBit = 1e-12
+	edited.BufBitsPerRouter = -3
+	edited.WirePerBitUnit = negZero
+	specs := map[string]ParetoSpec{
+		"empty":   {},
+		"default": {Objectives: AllObjectives, ArchiveCap: 64, Power: def},
+		"two":     {Objectives: []Objective{ObjLatency, ObjPower}, ArchiveCap: 1, Power: def},
+		"one":     {Objectives: []Objective{ObjWiring}, ArchiveCap: math.MaxInt, Power: edited},
+		"odd":     {Objectives: []Objective{"", "x,y"}, ArchiveCap: -1, Power: edited},
+	}
+	for sname, mk := range solvers {
+		s := mk()
+		for _, algo := range []Algorithm{DCSA, OnlySA, InitOnly} {
+			for _, c := range []int{1, 4, math.MaxInt, -2} {
+				if got, want := s.rowKey(c, algo), fmtRowKey(s, c, algo); got != want {
+					t.Fatalf("%s rowKey(%d, %s):\n got %q\nwant %q", sname, c, algo, got, want)
+				}
+				for wname, w := range weights {
+					for _, salt := range []int64{0, -7, math.MaxInt64} {
+						if got, want := s.lineKey(c, algo, w, salt), fmtLineKey(s, c, algo, w, salt); got != want {
+							t.Fatalf("%s lineKey(%d, %s, %s, %d):\n got %q\nwant %q", sname, c, algo, wname, salt, got, want)
+						}
+					}
+				}
+			}
+		}
+		for pname, spec := range specs {
+			if got, want := s.paretoKey(4, spec), fmtParetoKey(s, 4, spec); got != want {
+				t.Fatalf("%s paretoKey(%s):\n got %q\nwant %q", sname, pname, got, want)
+			}
+		}
+	}
+}
+
+// TestStoreRowKeyAddressPinned pins one stored address outright: a
+// default-config n=8 row solve at C=4 must keep the address every existing
+// -cache-dir holds it under.
+func TestStoreRowKeyAddressPinned(t *testing.T) {
+	const want = "2f9e13cb4754b732083a9adddc11ce10e8150af090110a41477393e15fb47132"
+	if got := keyAddress(NewSolver(model.DefaultConfig(8)).rowKey(4, DCSA)); got != want {
+		t.Fatalf("row key address moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStoreKeyAddressAllocs bounds the allocations of deriving a row
+// solve's store address, which every store lookup pays.
+func TestStoreKeyAddressAllocs(t *testing.T) {
+	s := NewSolver(model.DefaultConfig(16))
+	var addr string
+	allocs := testing.AllocsPerRun(200, func() { addr = keyAddress(s.rowKey(8, DCSA)) })
+	if addr == "" {
+		t.Fatal("empty address")
+	}
+	if allocs > 4 {
+		t.Fatalf("keyAddress(rowKey) allocates %.0f times, want <= 4", allocs)
+	}
+	t.Logf("keyAddress(rowKey): %.0f allocs", allocs)
 }

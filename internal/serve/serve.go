@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -263,8 +264,7 @@ func (s *Server) handlePareto(ctx context.Context, w http.ResponseWriter, r *htt
 		return
 	}
 	// Encode (not the sanitizer): these bytes must equal `explink -pareto -json`.
-	w.Header().Set("Content-Type", "application/json")
-	api.NewParetoResponse(f).Encode(w)
+	s.writeEncoded(w, "pareto", api.NewParetoResponse(f).Encode)
 }
 
 func (s *Server) handleSolve(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -284,8 +284,7 @@ func (s *Server) handleSolve(ctx context.Context, w http.ResponseWriter, r *http
 		return
 	}
 	// Encode (not the sanitizer): these bytes must equal `explink -json`.
-	w.Header().Set("Content-Type", "application/json")
-	api.NewSolveResponse(best, all).Encode(w)
+	s.writeEncoded(w, "solve", api.NewSolveResponse(best, all).Encode)
 }
 
 func (s *Server) handleEval(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -304,8 +303,7 @@ func (s *Server) handleEval(ctx context.Context, w http.ResponseWriter, r *http.
 		s.writeError(w, "eval", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	resp.Encode(w)
+	s.writeEncoded(w, "eval", resp.Encode)
 }
 
 func (s *Server) handleSim(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -446,6 +444,19 @@ func (s *Server) writeError(w http.ResponseWriter, op string, err error) {
 	status, kind := statusOf(err)
 	body := map[string]any{"error": &api.ErrorBody{Kind: kind, Message: err.Error()}}
 	s.writeJSON(w, status, body)
+}
+
+// writeEncoded answers 200 with the bytes encode produces. Encoding goes to
+// a buffer first, so a response that cannot be encoded becomes an error body
+// instead of a 200 with nothing (or half a document) behind it.
+func (s *Server) writeEncoded(w http.ResponseWriter, op string, encode func(io.Writer) error) {
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		s.writeError(w, op, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes()) // a failed write means the client is gone: no one is left to tell
 }
 
 // writeJSON writes v as indented JSON through the stats sanitizer, so a

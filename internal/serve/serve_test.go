@@ -559,3 +559,51 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("health %+v", h)
 	}
 }
+
+// TestEvalOverflowingWeightsIsConfigError: traffic weights whose total (or
+// whose latency-weighted sum) overflows used to answer HTTP 200 with an
+// empty body, and "ok":true with a null latency over stdio. Both transports
+// must now reject them as config errors.
+func TestEvalOverflowingWeightsIsConfigError(t *testing.T) {
+	bodies := []string{
+		// 16 entries of 1e308: the total is +Inf.
+		`{"n":2,"c":1,"weights":[[1e308,1e308,1e308,1e308],[1e308,1e308,1e308,1e308],[1e308,1e308,1e308,1e308],[1e308,1e308,1e308,1e308]]}`,
+		// One finite entry whose product with a pair latency overflows.
+		`{"n":2,"c":1,"weights":[[0,0,0,1.7e308],[0,0,0,0],[0,0,0,0],[0,0,0,0]]}`,
+	}
+	srv := New(Config{})
+	for _, body := range bodies {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(body)))
+		var resp struct {
+			Error api.ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusBadRequest || resp.Error.Kind != "config" {
+			t.Fatalf("HTTP %s: status %d: %q (%v)", body, rec.Code, rec.Body.Bytes(), err)
+		}
+
+		var out bytes.Buffer
+		err := srv.ServeStdio(context.Background(), strings.NewReader(`{"id":1,"op":"eval","req":`+body+"}\n"), &syncWriter{w: &out})
+		var line stdioResponse
+		if err != nil || json.Unmarshal(out.Bytes(), &line) != nil || line.OK || line.Error == nil || line.Error.Kind != "config" {
+			t.Fatalf("stdio %s: %v: %s", body, err, out.Bytes())
+		}
+	}
+}
+
+// TestWriteEncodedFailureAnswersError: an encoder that fails after partial
+// output must leave no 200 and no partial document behind.
+func TestWriteEncodedFailureAnswersError(t *testing.T) {
+	srv := New(Config{})
+	rec := httptest.NewRecorder()
+	srv.writeEncoded(rec, "solve", func(w io.Writer) error {
+		io.WriteString(w, `{"best": `)
+		return errors.New("cannot encode")
+	})
+	var resp struct {
+		Error api.ErrorBody `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code == http.StatusOK || resp.Error.Message != "cannot encode" {
+		t.Fatalf("status %d: %q (%v)", rec.Code, rec.Body.Bytes(), err)
+	}
+}
