@@ -86,8 +86,10 @@ func main() {
 
 	// The flags map 1:1 onto the service request schema; the solve (and the
 	// -json encoding below) runs through the same internal/api path as the
-	// explinkd daemon, so the two emit byte-identical documents.
+	// explinkd daemon, so the two emit byte-identical documents. Normalize
+	// maps -seed 0 and -base 0 to the defaults, as the daemon does.
 	req := api.SolveRequest{N: *n, C: *c, Algo: *algo, Seed: *seed, Moves: *moves, BaseWidth: *base}
+	req.Normalize()
 	if err := req.Validate(); err != nil {
 		fatal(err)
 	}
@@ -108,7 +110,7 @@ func main() {
 		return
 	}
 
-	t := stats.NewTable(fmt.Sprintf("%s placement for %dx%d (base width %db)", *algo, *n, *n, *base),
+	t := stats.NewTable(fmt.Sprintf("%s placement for %dx%d (base width %db)", req.Algo, *n, *n, req.BaseWidth),
 		"C", "width(b)", "L_D", "L_S", "L_avg", "evals", "express links")
 	for _, sol := range all {
 		t.AddRowf(sol.C, sol.Eval.Width, sol.Eval.Head, sol.Eval.Ser, sol.Eval.Total, sol.Evals, sol.Row.String())
@@ -143,7 +145,7 @@ func main() {
 		// the chosen design with the invariant auditor enabled; any engine or
 		// placement inconsistency fails loudly instead of skewing results.
 		sc := sim.NewConfig(s.Topology(best), best.C, traffic.UniformRandom(*n), 0.02)
-		sc.Seed = *seed
+		sc.Seed = req.Seed
 		sc.Warmup, sc.Measure, sc.Drain = 500, 2000, 10000
 		sc.Audit = true
 		simr, err := sim.New(sc)

@@ -10,9 +10,11 @@
 // byte-identical to the equivalent CLI output by construction (both sides
 // call the same encoders).
 //
-// Schemas are versioned: SchemaVersion names the wire generation, and every
-// HTTP endpoint lives under a matching path prefix (/v1/...). Any change
-// that can alter the meaning of an existing field must bump it.
+// Each daemon operation is one entry of the Ops table, served at
+// /v1/solve, /v1/eval, /v1/sim, /v1/exp and /v1/pareto over HTTP and under
+// the same names over stdio. Schemas are versioned: SchemaVersion names the
+// wire generation and is the endpoints' path prefix. Any change that can
+// alter the meaning of an existing field must bump it.
 package api
 
 import (
@@ -24,8 +26,18 @@ import (
 
 // SchemaVersion names the wire-format generation of every request and
 // response type in this package. It doubles as the HTTP path prefix of the
-// daemon's endpoints (/v1/solve, /v1/eval, /v1/sim, /v1/exp).
+// daemon's endpoints (/v1/solve, /v1/eval, /v1/sim, /v1/exp, /v1/pareto).
 const SchemaVersion = "v1"
+
+// Network-size bounds: the row model's distance matrices grow as n² and the
+// simulator's route tables roughly as n⁴, so a much larger network exhausts
+// memory, a fatal error that kills the whole process and every request in it.
+const (
+	// MaxN bounds SolveRequest, ParetoRequest and EvalRequest.
+	MaxN = 1024
+	// MaxSimN bounds SimRequest.
+	MaxSimN = 64
+)
 
 // configErr builds a validation error wrapping runctl.ErrConfig, so every
 // rejected request classifies as Kind "config" (HTTP 400) via errors.Is
@@ -61,22 +73,24 @@ type SolveRequest struct {
 // Normalize fills defaulted fields in place, mirroring the explink flag
 // defaults.
 func (r *SolveRequest) Normalize() {
-	if r.Algo == "" {
-		r.Algo = string(core.DCSA)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.BaseWidth == 0 {
-		r.BaseWidth = 256
+	orDefault(&r.Algo, string(core.DCSA))
+	orDefault(&r.Seed, 1)
+	orDefault(&r.BaseWidth, 256)
+}
+
+// orDefault sets *v to def when *v holds its zero value.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
 	}
 }
 
 // Validate rejects malformed requests with runctl.ErrConfig-typed errors.
 // Call Normalize first; validation treats the request as complete.
 func (r *SolveRequest) Validate() error {
-	if r.N < 2 {
-		return configErr("network size n=%d must be at least 2", r.N)
+	if r.N < 2 || r.N > MaxN {
+		return configErr("network size n=%d out of [2,%d]", r.N, MaxN)
 	}
 	if r.C < 0 {
 		return configErr("link limit c=%d must be non-negative (0 sweeps all)", r.C)
@@ -135,37 +149,21 @@ type SimRequest struct {
 // Normalize fills defaulted fields in place, mirroring the expsim flag
 // defaults.
 func (r *SimRequest) Normalize() {
-	if r.Topo == "" {
-		r.Topo = "mesh"
-	}
-	if r.Pattern == "" {
-		r.Pattern = "UR"
-	}
-	if r.Rate == 0 {
-		r.Rate = 0.02
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Warmup == 0 {
-		r.Warmup = 2000
-	}
-	if r.Measure == 0 {
-		r.Measure = 10000
-	}
-	if r.Drain == 0 {
-		r.Drain = 40000
-	}
-	if r.Replicas == 0 {
-		r.Replicas = 1
-	}
+	orDefault(&r.Topo, "mesh")
+	orDefault(&r.Pattern, "UR")
+	orDefault(&r.Rate, 0.02)
+	orDefault(&r.Seed, 1)
+	orDefault(&r.Warmup, 2000)
+	orDefault(&r.Measure, 10000)
+	orDefault(&r.Drain, 40000)
+	orDefault(&r.Replicas, 1)
 }
 
 // Validate rejects malformed requests with runctl.ErrConfig-typed errors.
 // Call Normalize first; validation treats the request as complete.
 func (r *SimRequest) Validate() error {
-	if r.N < 2 {
-		return configErr("network size n=%d must be at least 2", r.N)
+	if r.N < 2 || r.N > MaxSimN {
+		return configErr("network size n=%d out of [2,%d]", r.N, MaxSimN)
 	}
 	return ValidateSimParams(r.Warmup, r.Measure, r.Drain, r.Replicas, r.Rate)
 }
@@ -217,19 +215,13 @@ type ExpRequest struct {
 // Normalize fills defaulted fields in place, mirroring the expbench flag
 // defaults.
 func (r *ExpRequest) Normalize() {
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Replicas == 0 {
-		r.Replicas = 1
-	}
-	if r.Parallel == 0 {
-		r.Parallel = 1
-	}
+	orDefault(&r.Seed, 1)
+	orDefault(&r.Replicas, 1)
+	orDefault(&r.Parallel, 1)
 }
 
-// Validate rejects malformed requests with runctl.ErrConfig-typed errors;
-// unknown experiment names are caught by SelectExperiments.
+// Validate rejects malformed requests, unknown experiment names included,
+// with runctl.ErrConfig-typed errors.
 func (r *ExpRequest) Validate() error {
 	if r.Replicas <= 0 {
 		return configErr("replica count %d must be positive", r.Replicas)
@@ -237,5 +229,6 @@ func (r *ExpRequest) Validate() error {
 	if r.Parallel <= 0 {
 		return configErr("parallelism %d must be positive", r.Parallel)
 	}
-	return nil
+	_, err := SelectExperiments(r.Experiments)
+	return err
 }

@@ -78,28 +78,23 @@ func BuildTopology(ctx context.Context, name string, n int, seed uint64, store *
 	}
 }
 
+// synthetic maps the synthetic pattern names, upper-cased, to their
+// constructors.
+var synthetic = map[string]func(n int) traffic.Pattern{
+	"UR": traffic.UniformRandom, "TP": traffic.Transpose, "BR": traffic.BitReverse,
+	"BC": traffic.BitComplement, "SH": traffic.Shuffle, "TOR": traffic.Tornado, "NBR": traffic.Neighbor,
+	"HOTSPOT": func(n int) traffic.Pattern {
+		hot := []int{0, n - 1, n * (n - 1), n*n - 1}
+		return traffic.Hotspot(n, hot, 0.3, traffic.UniformRandom(n))
+	},
+}
+
 // BuildPattern resolves a traffic-pattern name: a synthetic pattern (rate
 // passes through) or a PARSEC benchmark (which carries its own injection
 // rate).
 func BuildPattern(name string, n int, rate float64) (traffic.Pattern, float64, error) {
-	switch strings.ToUpper(name) {
-	case "UR":
-		return traffic.UniformRandom(n), rate, nil
-	case "TP":
-		return traffic.Transpose(n), rate, nil
-	case "BR":
-		return traffic.BitReverse(n), rate, nil
-	case "BC":
-		return traffic.BitComplement(n), rate, nil
-	case "SH":
-		return traffic.Shuffle(n), rate, nil
-	case "TOR":
-		return traffic.Tornado(n), rate, nil
-	case "NBR":
-		return traffic.Neighbor(n), rate, nil
-	case "HOTSPOT":
-		hot := []int{0, n - 1, n * (n - 1), n*n - 1}
-		return traffic.Hotspot(n, hot, 0.3, traffic.UniformRandom(n)), rate, nil
+	if pattern, ok := synthetic[strings.ToUpper(name)]; ok {
+		return pattern(n), rate, nil
 	}
 	b, err := traffic.BenchmarkByName(strings.ToLower(name))
 	if err != nil {
@@ -126,4 +121,46 @@ func (r *SimRequest) Config(ctx context.Context, store *core.PlacementStore) (si
 	cfg.Warmup, cfg.Measure, cfg.Drain = r.Warmup, r.Measure, r.Drain
 	cfg.Audit = r.Audit
 	return cfg, nil
+}
+
+// Run executes the (normalized, validated) request: one operating point, a
+// replica group, or a saturation sweep. A run cut short returns what it
+// measured alongside its error (see SimResponse.Partial).
+func (r *SimRequest) Run(ctx context.Context, store *core.PlacementStore) (SimResponse, error) {
+	var resp SimResponse
+	cfg, err := r.Config(ctx, store)
+	if err != nil {
+		return resp, err
+	}
+	switch {
+	case r.Saturate:
+		opts := sim.DefaultSaturationOpts()
+		if r.Replicas > 1 {
+			opts.Replicas = r.Replicas
+		}
+		sr, err := sim.FindSaturation(ctx, cfg, opts)
+		if len(sr.Points) > 0 || err == nil {
+			resp.Sweep = &sr
+		}
+		return resp, err
+	case r.Replicas > 1:
+		b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, r.Replicas))
+		if err != nil {
+			return resp, err
+		}
+		results, _, err := b.Run(ctx, 0)
+		if len(results) > 0 {
+			agg := sim.AggregateReplicas(results)
+			resp.Replicas, resp.Aggregate = results, &agg
+		}
+		return resp, err
+	default:
+		sm, err := sim.New(cfg)
+		if err != nil {
+			return resp, err
+		}
+		res, err := sm.Run(ctx)
+		resp.Result = &res
+		return resp, err
+	}
 }

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"context"
 	"strings"
 
+	"explink/internal/core"
 	"explink/internal/exp"
+	"explink/internal/obs"
 )
 
 // SelectExperiments resolves a name list against the experiment registry,
@@ -39,4 +42,32 @@ func SelectExperiments(names []string) ([]exp.Experiment, error) {
 		}
 	}
 	return sel, nil
+}
+
+// Run executes the (normalized, validated) request over the selected
+// experiments against store, streaming progress to ev (nil for none). A
+// drained suite reports cancelled outcomes, not an error.
+func (r *ExpRequest) Run(ctx context.Context, store *core.PlacementStore, ev *obs.EventWriter) (ExpResult, error) {
+	sel, err := SelectExperiments(r.Experiments)
+	if err != nil {
+		return ExpResult{}, err
+	}
+	opts := exp.DefaultOptions()
+	opts.Quick = r.Quick
+	opts.Seed = r.Seed
+	opts.Replicas = r.Replicas
+	opts.Store = store
+	results := exp.RunAll(ctx, sel, opts, r.Parallel, ev)
+	out := ExpResult{Experiments: len(results)}
+	for _, oc := range results {
+		eo := ExpOutcome{Name: oc.Exp.Name, Section: oc.Exp.Section, Seconds: oc.Elapsed.Seconds()}
+		if oc.Err != nil {
+			out.Failed++
+			eo.Error = ErrorBodyOf(oc.Err)
+		} else {
+			eo.Report = oc.Rep
+		}
+		out.Outcomes = append(out.Outcomes, eo)
+	}
+	return out, nil
 }

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 
 	"explink/internal/core"
@@ -37,36 +36,33 @@ type ParetoRequest struct {
 // defaults. The objective list is left as given — ordering is meaningful and
 // core applies the all-dimensions default.
 func (r *ParetoRequest) Normalize() {
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.BaseWidth == 0 {
-		r.BaseWidth = 256
-	}
+	orDefault(&r.Seed, 1)
+	orDefault(&r.BaseWidth, 256)
 }
 
 // Validate rejects malformed requests with runctl.ErrConfig-typed errors.
 // Call Normalize first; validation treats the request as complete.
 func (r *ParetoRequest) Validate() error {
-	if r.N < 2 {
-		return configErr("network size n=%d must be at least 2", r.N)
+	sr := r.solveRequest()
+	if err := sr.Validate(); err != nil {
+		return err
 	}
-	if r.C < 0 {
-		return configErr("link limit c=%d must be non-negative (0 sweeps all)", r.C)
-	}
-	if _, err := core.ParseObjectives(r.Objectives); err != nil {
-		return configErr("%v", err)
-	}
-	if r.Moves < 0 {
-		return configErr("move budget %d must be non-negative", r.Moves)
-	}
-	if r.BaseWidth < 1 {
-		return configErr("base width %d bits must be positive", r.BaseWidth)
+	if _, err := r.Spec(); err != nil {
+		return err
 	}
 	if r.ArchiveCap < 0 {
 		return configErr("archive cap %d must be non-negative", r.ArchiveCap)
 	}
 	return nil
+}
+
+// solveRequest is the scalar request sharing r's network, seed and budget:
+// it validates those knobs and builds the frontier's solver.
+func (r *ParetoRequest) solveRequest() SolveRequest {
+	return SolveRequest{
+		N: r.N, C: r.C, Algo: string(core.DCSA),
+		Seed: r.Seed, Moves: r.Moves, BaseWidth: r.BaseWidth,
+	}
 }
 
 // Spec converts the request's frontier knobs to the core form.
@@ -82,10 +78,7 @@ func (r *ParetoRequest) Spec() (core.ParetoSpec, error) {
 // request — the single path shared by cmd/explink and the daemon, so their
 // outputs are byte-comparable by construction.
 func (r *ParetoRequest) Solve(ctx context.Context, store *core.PlacementStore) (core.Frontier, error) {
-	sr := SolveRequest{
-		N: r.N, C: r.C, Algo: string(core.DCSA),
-		Seed: r.Seed, Moves: r.Moves, BaseWidth: r.BaseWidth,
-	}
+	sr := r.solveRequest()
 	s, err := sr.Solver(store)
 	if err != nil {
 		return core.Frontier{}, err
@@ -141,8 +134,4 @@ func NewParetoResponse(f core.Frontier) ParetoResponse {
 // Encode writes the response as indented JSON with a trailing newline,
 // matching the SolveResponse framing — the daemon and `explink -pareto
 // -json` emit these exact bytes.
-func (r ParetoResponse) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r ParetoResponse) Encode(w io.Writer) error { return encodeIndented(w, r) }

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"explink/internal/exp"
 	"explink/internal/sim"
 	"explink/internal/stats"
 )
@@ -56,20 +55,4 @@ type ExpResult struct {
 	Experiments int          `json:"experiments"`
 	Failed      int          `json:"failed"`
 	Outcomes    []ExpOutcome `json:"outcomes"`
-}
-
-// ExpResultOf converts runner outcomes to the wire form.
-func ExpResultOf(results []exp.Outcome) ExpResult {
-	out := ExpResult{Experiments: len(results)}
-	for _, oc := range results {
-		eo := ExpOutcome{Name: oc.Exp.Name, Section: oc.Exp.Section, Seconds: oc.Elapsed.Seconds()}
-		if oc.Err != nil {
-			out.Failed++
-			eo.Error = ErrorBodyOf(oc.Err)
-		} else {
-			eo.Report = oc.Rep
-		}
-		out.Outcomes = append(out.Outcomes, eo)
-	}
-	return out
 }

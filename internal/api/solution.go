@@ -56,12 +56,17 @@ func NewSolveResponse(best core.RowSolution, all []core.RowSolution) SolveRespon
 // byte-comparable against CLI output. The bytes go out in one Write, and a
 // response that cannot be encoded (a non-finite float) writes nothing.
 func (r SolveResponse) Encode(w io.Writer) error {
-	buf, err := r.appendJSON(make([]byte, 0, r.jsonSize()))
+	buf, err := r.marshal()
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(buf)
 	return err
+}
+
+// marshal returns Encode's bytes in one presized buffer.
+func (r SolveResponse) marshal() ([]byte, error) {
+	return r.appendJSON(make([]byte, 0, r.jsonSize()))
 }
 
 // EvalRequest asks for the latency of a given placement without solving:
@@ -85,17 +90,13 @@ type EvalRequest struct {
 }
 
 // Normalize fills defaulted fields in place.
-func (r *EvalRequest) Normalize() {
-	if r.BaseWidth == 0 {
-		r.BaseWidth = 256
-	}
-}
+func (r *EvalRequest) Normalize() { orDefault(&r.BaseWidth, 256) }
 
 // Validate rejects malformed requests with runctl.ErrConfig-typed errors.
 // Call Normalize first; validation treats the request as complete.
 func (r *EvalRequest) Validate() error {
-	if r.N < 2 {
-		return configErr("network size n=%d must be at least 2", r.N)
+	if r.N < 2 || r.N > MaxN {
+		return configErr("network size n=%d out of [2,%d]", r.N, MaxN)
 	}
 	if r.C < 1 {
 		return configErr("link limit c=%d must be positive", r.C)
@@ -175,8 +176,12 @@ func (r *EvalRequest) Eval() (EvalResponse, error) {
 
 // Encode writes the response as indented JSON with a trailing newline,
 // matching the SolveResponse framing.
-func (r EvalResponse) Encode(w io.Writer) error {
+func (r EvalResponse) Encode(w io.Writer) error { return encodeIndented(w, r) }
+
+// encodeIndented writes v with json.Encoder framing: two-space indent and a
+// trailing newline, failing on non-finite floats.
+func encodeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(v)
 }

@@ -2,56 +2,54 @@ package api
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"explink/internal/runctl"
 )
+
+// kinds is the runctl error taxonomy on the wire: each sentinel's stable
+// kind string and HTTP status. Anything outside it is "internal" (500).
+var kinds = []struct {
+	sentinel error
+	kind     string
+	status   int
+}{
+	{runctl.ErrConfig, "config", http.StatusBadRequest},               // the request itself is wrong
+	{runctl.ErrCancelled, "cancelled", http.StatusServiceUnavailable}, // cut short (e.g. a drain), retryable
+	{runctl.ErrDeadlock, "deadlock", http.StatusUnprocessableEntity},  // valid request, network deadlocked
+	{runctl.ErrUnstable, "unstable", http.StatusUnprocessableEntity},  // valid request, network unstable
+	{runctl.ErrAudit, "audit", http.StatusInternalServerError},        // the engine broke an invariant
+}
 
 // Kind classifies an error against the runctl taxonomy with a stable wire
 // string, so remote clients can branch on outcomes the way local callers use
 // errors.Is. A nil error is "" (success); anything outside the taxonomy is
 // "internal".
 func Kind(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.Is(err, runctl.ErrConfig):
-		return "config"
-	case errors.Is(err, runctl.ErrCancelled):
-		return "cancelled"
-	case errors.Is(err, runctl.ErrDeadlock):
-		return "deadlock"
-	case errors.Is(err, runctl.ErrUnstable):
-		return "unstable"
-	case errors.Is(err, runctl.ErrAudit):
-		return "audit"
-	default:
-		return "internal"
 	}
+	for _, k := range kinds {
+		if errors.Is(err, k.sentinel) {
+			return k.kind
+		}
+	}
+	return "internal"
 }
 
-// HTTPStatus maps the runctl error taxonomy onto HTTP statuses:
-//
-//	nil          -> 200 OK
-//	ErrConfig    -> 400 Bad Request           (the request itself is wrong)
-//	ErrCancelled -> 503 Service Unavailable   (cut short — e.g. a drain — retryable)
-//	ErrDeadlock  -> 422 Unprocessable Entity  (valid request, network deadlocked)
-//	ErrUnstable  -> 422 Unprocessable Entity  (valid request, network unstable)
-//	ErrAudit     -> 500 Internal Server Error (the engine broke an invariant)
-//	other        -> 500 Internal Server Error
+// HTTPStatus maps the runctl error taxonomy onto HTTP statuses (see kinds):
+// nil is 200, anything outside the taxonomy 500.
 func HTTPStatus(err error) int {
-	switch Kind(err) {
-	case "":
+	if err == nil {
 		return http.StatusOK
-	case "config":
-		return http.StatusBadRequest
-	case "cancelled":
-		return http.StatusServiceUnavailable
-	case "deadlock", "unstable":
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
 	}
+	for _, k := range kinds {
+		if errors.Is(err, k.sentinel) {
+			return k.status
+		}
+	}
+	return http.StatusInternalServerError
 }
 
 // ErrorBody is the wire form of a failed request, carried in HTTP error
@@ -69,4 +67,20 @@ func ErrorBodyOf(err error) *ErrorBody {
 		return nil
 	}
 	return &ErrorBody{Kind: Kind(err), Message: err.Error()}
+}
+
+// Err reconstructs a Go error from a wire ErrorBody, wrapping the matching
+// runctl sentinel so errors.Is classification survives the network hop (a
+// worker's "cancelled" failure still classifies as runctl.ErrCancelled on
+// the coordinator). A nil body returns nil.
+func (e *ErrorBody) Err() error {
+	if e == nil {
+		return nil
+	}
+	for _, k := range kinds {
+		if e.Kind == k.kind {
+			return fmt.Errorf("%s: %w", e.Message, k.sentinel)
+		}
+	}
+	return errors.New(e.Message)
 }

@@ -1,12 +1,6 @@
 package api
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-
-	"explink/internal/runctl"
-)
+import "encoding/json"
 
 // Work-distribution schemas: the wire surface of the sweep fabric
 // (internal/fabric). A coordinator decomposes an experiment suite into work
@@ -52,11 +46,7 @@ type WorkLeaseRequest struct {
 }
 
 // Normalize fills defaulted fields in place.
-func (r *WorkLeaseRequest) Normalize() {
-	if r.Worker == "" {
-		r.Worker = "anonymous"
-	}
-}
+func (r *WorkLeaseRequest) Normalize() { orDefault(&r.Worker, "anonymous") }
 
 // Validate rejects malformed requests with runctl.ErrConfig-typed errors.
 func (r *WorkLeaseRequest) Validate() error {
@@ -158,30 +148,4 @@ func (r *WorkCompleteRequest) Validate() error {
 type WorkCompleteResponse struct {
 	Status string `json:"status"`
 	Done   bool   `json:"done,omitempty"`
-}
-
-// Err reconstructs a Go error from a wire ErrorBody, wrapping the matching
-// runctl sentinel so errors.Is classification survives the network hop (a
-// worker's "cancelled" failure still classifies as runctl.ErrCancelled on
-// the coordinator). A nil body returns nil.
-func (e *ErrorBody) Err() error {
-	if e == nil {
-		return nil
-	}
-	var sentinel error
-	switch e.Kind {
-	case "config":
-		sentinel = runctl.ErrConfig
-	case "cancelled":
-		sentinel = runctl.ErrCancelled
-	case "deadlock":
-		sentinel = runctl.ErrDeadlock
-	case "unstable":
-		sentinel = runctl.ErrUnstable
-	case "audit":
-		sentinel = runctl.ErrAudit
-	default:
-		return errors.New(e.Message)
-	}
-	return fmt.Errorf("%s: %w", e.Message, sentinel)
 }

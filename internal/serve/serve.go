@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,11 +26,8 @@ import (
 
 	"explink/internal/api"
 	"explink/internal/core"
-	"explink/internal/exp"
 	"explink/internal/obs"
 	"explink/internal/runctl"
-	"explink/internal/sim"
-	"explink/internal/stats"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate payload is an
@@ -113,55 +109,26 @@ func New(cfg Config) *Server {
 	}
 	s.met = newMetrics(cfg.Reg, s.gate)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /"+api.SchemaVersion+"/solve", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, "solve") })
-	s.mux.HandleFunc("POST /"+api.SchemaVersion+"/eval", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, "eval") })
-	s.mux.HandleFunc("POST /"+api.SchemaVersion+"/sim", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, "sim") })
-	s.mux.HandleFunc("POST /"+api.SchemaVersion+"/exp", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, "exp") })
-	s.mux.HandleFunc("POST /"+api.SchemaVersion+"/pareto", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, "pareto") })
+	for _, op := range api.Ops {
+		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/"+op.Name, func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, op) })
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	if cfg.Coordinator != nil {
-		coord := cfg.Coordinator
+	if c := cfg.Coordinator; c != nil {
 		// Work RPCs bypass the gate and limiter on purpose: they are cheap
 		// coordinator bookkeeping, and a heartbeat queued behind heavy solve
 		// admission would expire the very lease it is trying to keep alive.
 		// They also stay open during drain, so workers can hand back their
 		// in-flight units as cancelled completions instead of timing out.
-		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/lease", func(w http.ResponseWriter, r *http.Request) {
-			s.met.request("work")
-			var req api.WorkLeaseRequest
-			if err := s.decodeWork(w, r, &req); err != nil {
-				return
-			}
-			req.Normalize()
-			if err := req.Validate(); err != nil {
-				s.writeError(w, "work", err)
-				return
-			}
-			resp, err := coord.Lease(r.Context(), req.Worker)
-			s.writeWork(w, resp, err)
-		})
-		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-			s.met.request("work")
-			var req api.WorkHeartbeatRequest
-			if err := s.decodeWork(w, r, &req); err != nil {
-				return
-			}
-			if err := req.Validate(); err != nil {
-				s.writeError(w, "work", err)
-				return
-			}
-			resp, err := coord.Heartbeat(r.Context(), req.Lease)
-			s.writeWork(w, resp, err)
-		})
-		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/complete", func(w http.ResponseWriter, r *http.Request) {
-			s.met.request("work")
-			var req api.WorkCompleteRequest
-			if err := s.decodeWork(w, r, &req); err != nil {
-				return
-			}
-			resp, err := coord.Complete(r.Context(), req)
-			s.writeWork(w, resp, err)
-		})
+		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/lease", workRPC(s, func(ctx context.Context, r *api.WorkLeaseRequest) (api.WorkLeaseResponse, error) {
+			r.Normalize()
+			return c.Lease(ctx, r.Worker)
+		}))
+		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/heartbeat", workRPC(s, func(ctx context.Context, r *api.WorkHeartbeatRequest) (api.WorkHeartbeatResponse, error) {
+			return c.Heartbeat(ctx, r.Lease)
+		}))
+		s.mux.HandleFunc("POST /"+api.SchemaVersion+"/work/complete", workRPC(s, func(ctx context.Context, r *api.WorkCompleteRequest) (api.WorkCompleteResponse, error) {
+			return c.Complete(ctx, *r)
+		}))
 	}
 	if cfg.Reg != nil {
 		reg := cfg.Reg
@@ -206,222 +173,89 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// handle is the one HTTP entry path: rate limit, admission gate, drain-aware
-// context, dispatch by op, metrics and events on the way out.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, op string) {
-	s.met.request(op)
-	if !s.lim.allow(clientKey(r)) {
-		s.reject(w, op, ErrRateLimited)
-		return
+// dispatch is the one admission path both transports share: the per-client
+// rate limit (skipped when client is ""), the gate, the drain WaitGroup, a
+// context cancelled by the caller's or by BeginDrain, wall-time metrics
+// under label and a request.finish event. reply receives the rejection or
+// op's answer exactly once, while the request still holds its slot.
+func (s *Server) dispatch(ctx context.Context, label, client string, op api.Op, body io.Reader, env api.Env, reply func(api.Reply, error)) {
+	s.met.request(label)
+	err := ErrRateLimited
+	var release func()
+	if client == "" || s.lim.allow(client) {
+		release, err = s.gate.acquire(ctx)
 	}
-	release, err := s.gate.acquire(r.Context())
 	if err != nil {
-		s.reject(w, op, err)
+		_, kind := statusOf(err) // a client gone while queued is "cancelled"
+		s.met.reject(kind)
+		s.met.failure(label)
+		reply(api.Reply{}, err)
 		return
 	}
 	s.wg.Add(1)
-	ctx, cancel := context.WithCancelCause(r.Context())
+	ctx, cancel := context.WithCancelCause(ctx)
 	stop := context.AfterFunc(s.base, func() { cancel(context.Cause(s.base)) })
 	start := time.Now()
 	defer func() {
 		stop()
 		cancel(nil)
 		release()
-		s.met.observe(op, time.Since(start))
-		s.ev.Emit("request.finish", map[string]any{"op": op, "seconds": time.Since(start).Seconds()})
+		s.met.observe(label, time.Since(start))
+		s.ev.Emit("request.finish", map[string]any{"op": op.Name, "seconds": time.Since(start).Seconds()})
 		s.wg.Done()
 	}()
-
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	switch op {
-	case "solve":
-		s.handleSolve(ctx, w, r)
-	case "eval":
-		s.handleEval(ctx, w, r)
-	case "sim":
-		s.handleSim(ctx, w, r)
-	case "exp":
-		s.handleExp(ctx, w, r)
-	case "pareto":
-		s.handlePareto(ctx, w, r)
+	rep, err := op.Run(ctx, env, body)
+	if err != nil {
+		s.met.failure(label)
 	}
+	reply(rep, err)
 }
 
-func (s *Server) handlePareto(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req api.ParetoRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeError(w, "pareto", err)
-		return
-	}
-	req.Normalize()
-	if err := req.Validate(); err != nil {
-		s.writeError(w, "pareto", err)
-		return
-	}
-	f, err := req.Solve(ctx, s.store)
-	if err != nil {
-		s.writeError(w, "pareto", err)
-		return
-	}
-	// Encode (not the sanitizer): these bytes must equal `explink -pareto -json`.
-	s.writeEncoded(w, "pareto", api.NewParetoResponse(f).Encode)
-}
-
-func (s *Server) handleSolve(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req api.SolveRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeError(w, "solve", err)
-		return
-	}
-	req.Normalize()
-	if err := req.Validate(); err != nil {
-		s.writeError(w, "solve", err)
-		return
-	}
-	best, all, err := req.Solve(ctx, s.store)
-	if err != nil {
-		s.writeError(w, "solve", err)
-		return
-	}
-	// Encode (not the sanitizer): these bytes must equal `explink -json`.
-	s.writeEncoded(w, "solve", api.NewSolveResponse(best, all).Encode)
-}
-
-func (s *Server) handleEval(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req api.EvalRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeError(w, "eval", err)
-		return
-	}
-	req.Normalize()
-	if err := req.Validate(); err != nil {
-		s.writeError(w, "eval", err)
-		return
-	}
-	resp, err := req.Eval()
-	if err != nil {
-		s.writeError(w, "eval", err)
-		return
-	}
-	s.writeEncoded(w, "eval", resp.Encode)
-}
-
-func (s *Server) handleSim(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req api.SimRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeError(w, "sim", err)
-		return
-	}
-	req.Normalize()
-	if err := req.Validate(); err != nil {
-		s.writeError(w, "sim", err)
-		return
-	}
-	resp, err := s.runSim(ctx, &req)
-	if err != nil {
-		// A run that got cut short (drain, deadline, deadlock) still carries
-		// its partial measurements; report them with the classified error
-		// embedded instead of discarding data behind a bare status code.
-		if !resp.Partial() {
-			s.writeError(w, "sim", err)
-			return
+// handle serves one op over HTTP. The exp op streams its progress as
+// JSON lines once it has validated; its status is then committed, so its
+// outcome travels inside the stream rather than through writeReply.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, op api.Op) {
+	streamed := false
+	env := api.Env{Store: s.store, Progress: func() *obs.EventWriter {
+		streamed = true
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		return obs.NewEventWriter(flushWriter{w})
+	}}
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.dispatch(r.Context(), op.Name, clientKey(r), op, body, env, func(rep api.Reply, err error) {
+		if !streamed {
+			writeReply(w, rep, err)
 		}
-		resp.Error = api.ErrorBodyOf(err)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	})
 }
 
-// runSim executes a (normalized, validated) SimRequest: one operating point,
-// a replica group, or a saturation sweep. Shared by HTTP and stdio.
-func (s *Server) runSim(ctx context.Context, req *api.SimRequest) (api.SimResponse, error) {
-	var resp api.SimResponse
-	cfg, err := req.Config(ctx, s.store)
-	if err != nil {
-		return resp, err
+// writeReply answers 200 with the reply body (a partial sim result
+// included, its error embedded), or the mapped error when there is no body.
+// The sanitizer's notes go out in an X-Explink-Sanitized header.
+func writeReply(w http.ResponseWriter, rep api.Reply, err error) {
+	if rep.Body == nil {
+		writeError(w, err)
+		return
 	}
-	switch {
-	case req.Saturate:
-		opts := sim.DefaultSaturationOpts()
-		if req.Replicas > 1 {
-			opts.Replicas = req.Replicas
-		}
-		sr, err := sim.FindSaturation(ctx, cfg, opts)
-		if len(sr.Points) > 0 || err == nil {
-			resp.Sweep = &sr
-		}
-		return resp, err
-	case req.Replicas > 1:
-		b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, req.Replicas))
-		if err != nil {
-			return resp, err
-		}
-		results, _, err := b.Run(ctx, 0)
-		if len(results) > 0 {
-			agg := sim.AggregateReplicas(results)
-			resp.Replicas, resp.Aggregate = results, &agg
-		}
-		return resp, err
-	default:
-		sm, err := sim.New(cfg)
-		if err != nil {
-			return resp, err
-		}
-		res, err := sm.Run(ctx)
-		resp.Result = &res
-		return resp, err
+	w.Header().Set("Content-Type", "application/json")
+	if len(rep.Notes) > 0 {
+		w.Header().Set("X-Explink-Sanitized", strings.Join(rep.Notes, "; "))
 	}
+	w.Write(rep.Body) // a failed write means the client is gone: no one is left to tell
 }
 
-func (s *Server) handleExp(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	var req api.ExpRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeError(w, "exp", err)
-		return
+// status is the liveness word healthz and the stdio ping report.
+func (s *Server) status() string {
+	if s.gate.draining() {
+		return "draining"
 	}
-	req.Normalize()
-	if err := req.Validate(); err != nil {
-		s.writeError(w, "exp", err)
-		return
-	}
-	sel, err := api.SelectExperiments(req.Experiments)
-	if err != nil {
-		s.writeError(w, "exp", err)
-		return
-	}
-	// From here the response is a chunked JSON-lines stream: progress events
-	// as the suite runs, then one terminal suite.result line with every
-	// report. The status is already committed, so a drain mid-suite shows up
-	// as cancelled outcomes inside the terminal line, not as an HTTP error.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	ev := obs.NewEventWriter(flushWriter{w})
-	res := s.runExp(ctx, sel, &req, ev)
-	raw, _, err := stats.MarshalSanitized(res)
-	if err != nil {
-		ev.Emit("suite.result", map[string]any{"error": err.Error()})
-		return
-	}
-	ev.Emit("suite.result", map[string]any{"failed": res.Failed, "result": json.RawMessage(raw)})
-}
-
-// runExp executes a (normalized, validated) ExpRequest over the selected
-// experiments, streaming progress to ev. Shared by HTTP and stdio.
-func (s *Server) runExp(ctx context.Context, sel []exp.Experiment, req *api.ExpRequest, ev *obs.EventWriter) api.ExpResult {
-	opts := exp.DefaultOptions()
-	opts.Quick = req.Quick
-	opts.Seed = req.Seed
-	opts.Replicas = req.Replicas
-	opts.Store = s.store
-	return api.ExpResultOf(exp.RunAll(ctx, sel, opts, req.Parallel, ev))
+	return "ok"
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	if s.gate.draining() {
-		status = "draining"
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":   status,
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":   s.status(),
 		"schema":   api.SchemaVersion,
 		"inflight": s.gate.inflight(),
 		"queued":   s.gate.queued(),
@@ -429,120 +263,90 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reject writes an admission failure (draining/overloaded/rate-limited or a
-// client disconnect while queued) and counts it.
-func (s *Server) reject(w http.ResponseWriter, op string, err error) {
-	s.met.reject(reasonOf(err))
-	s.writeError(w, op, err)
-}
-
 // writeError maps err onto its HTTP status (serve admission sentinels first,
 // then the runctl taxonomy via api.HTTPStatus) and writes the standard error
 // body {"error":{"kind":...,"message":...}}.
-func (s *Server) writeError(w http.ResponseWriter, op string, err error) {
-	s.met.failure(op)
-	status, kind := statusOf(err)
-	body := map[string]any{"error": &api.ErrorBody{Kind: kind, Message: err.Error()}}
-	s.writeJSON(w, status, body)
+func writeError(w http.ResponseWriter, err error) {
+	status, _ := statusOf(err)
+	writeJSON(w, status, map[string]any{"error": errorBody(err)})
 }
 
-// writeEncoded answers 200 with the bytes encode produces. Encoding goes to
-// a buffer first, so a response that cannot be encoded becomes an error body
-// instead of a 200 with nothing (or half a document) behind it.
-func (s *Server) writeEncoded(w http.ResponseWriter, op string, encode func(io.Writer) error) {
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		s.writeError(w, op, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes()) // a failed write means the client is gone: no one is left to tell
-}
-
-// writeJSON writes v as indented JSON through the stats sanitizer, so a
-// non-finite float anywhere in a response degrades to null (with the paths
-// reported in an X-Explink-Sanitized header) instead of failing the request.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, notes, err := stats.MarshalIndentSanitized(v, "", "  ")
+// writeJSON writes v as indented JSON.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, fmt.Sprintf(`{"error":{"kind":"internal","message":%q}}`, err.Error()), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if len(notes) > 0 {
-		w.Header().Set("X-Explink-Sanitized", strings.Join(notes, "; "))
-	}
 	w.WriteHeader(status)
 	w.Write(append(buf, '\n'))
 }
 
-// decodeWork reads a bounded work-RPC body, answering the config error
-// itself; the caller just returns on non-nil.
-func (s *Server) decodeWork(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := decodeBody(r.Body, v); err != nil {
-		s.writeError(w, "work", err)
-		return err
-	}
-	return nil
-}
-
-// writeWork answers one work RPC: coordinator errors follow the standard
-// error surface, successes encode with json.Marshal (not the sanitizer — a
+// workRPC builds the handler of one work RPC: strict decode, Validate, call
+// the coordinator, answer with json.Marshal (not the sanitizer — a
 // completion echoes no floats that could be non-finite, and lease responses
-// must round-trip the unit exactly).
-func (s *Server) writeWork(w http.ResponseWriter, resp any, err error) {
-	if err != nil {
-		s.writeError(w, "work", err)
-		return
+// must round-trip the unit exactly). Errors follow the standard error body.
+func workRPC[R any, P interface {
+	*R
+	Validate() error
+}, Resp any](s *Server, call func(context.Context, P) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.met.request("work")
+		req := P(new(R))
+		err := api.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), req)
+		if err == nil {
+			err = req.Validate()
+		}
+		var buf []byte
+		if err == nil {
+			var resp Resp
+			if resp, err = call(r.Context(), req); err == nil {
+				buf, err = json.Marshal(resp)
+			}
+		}
+		if err != nil {
+			s.met.failure("work")
+			writeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(buf, '\n'))
 	}
-	buf, err := json.Marshal(resp)
-	if err != nil {
-		s.writeError(w, "work", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
 }
 
-// statusOf resolves the HTTP status and wire kind of err: the serve-level
-// admission sentinels map to 503/503/429, everything else follows the runctl
-// taxonomy (api.HTTPStatus).
+// errorBody is the wire form of err, with the admission sentinels' kinds;
+// nil in, nil out.
+func errorBody(err error) *api.ErrorBody {
+	if err == nil {
+		return nil
+	}
+	_, kind := statusOf(err)
+	return &api.ErrorBody{Kind: kind, Message: err.Error()}
+}
+
+// admissionErrors are the serve-level rejections with their wire kinds
+// (also their serve_rejected_total reasons) and HTTP statuses.
+var admissionErrors = []struct {
+	err    error
+	kind   string
+	status int
+}{
+	{ErrDraining, "draining", http.StatusServiceUnavailable},
+	{ErrOverloaded, "overloaded", http.StatusServiceUnavailable},
+	{ErrRateLimited, "rate-limited", http.StatusTooManyRequests},
+}
+
+// statusOf resolves the HTTP status and wire kind of err: the admission
+// sentinels first (errors.Is is deliberate: gate errors may arrive
+// wrapped), then the runctl taxonomy.
 func statusOf(err error) (int, string) {
-	switch reasonOf(err) {
-	case "draining":
-		return http.StatusServiceUnavailable, "draining"
-	case "overloaded":
-		return http.StatusServiceUnavailable, "overloaded"
-	case "rate-limited":
-		return http.StatusTooManyRequests, "rate-limited"
+	for _, a := range admissionErrors {
+		if errors.Is(err, a.err) {
+			return a.status, a.kind
+		}
 	}
 	return api.HTTPStatus(err), api.Kind(err)
-}
-
-// reasonOf names the admission sentinel behind err, or "" for ordinary
-// errors. errors.Is is deliberate: gate errors may arrive wrapped.
-func reasonOf(err error) string {
-	switch {
-	case errors.Is(err, ErrDraining):
-		return "draining"
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, ErrRateLimited):
-		return "rate-limited"
-	}
-	return ""
-}
-
-// decodeBody parses a JSON request body strictly (unknown fields are config
-// errors — they are almost always typos in a versioned schema).
-func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %v: %w", err, runctl.ErrConfig)
-	}
-	return nil
 }
 
 // clientKey identifies a client for rate limiting: the X-Explink-Client

@@ -591,19 +591,47 @@ func TestEvalOverflowingWeightsIsConfigError(t *testing.T) {
 	}
 }
 
-// TestWriteEncodedFailureAnswersError: an encoder that fails after partial
-// output must leave no 200 and no partial document behind.
+// TestWriteEncodedFailureAnswersError: a reply whose encoder failed carries
+// no body (api's encoders buffer, see TestEncodedFailureReturnsNoBody), and
+// the HTTP writer must answer it with an error, never a 200.
 func TestWriteEncodedFailureAnswersError(t *testing.T) {
-	srv := New(Config{})
 	rec := httptest.NewRecorder()
-	srv.writeEncoded(rec, "solve", func(w io.Writer) error {
-		io.WriteString(w, `{"best": `)
-		return errors.New("cannot encode")
-	})
+	writeReply(rec, api.Reply{}, errors.New("cannot encode"))
 	var resp struct {
 		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code == http.StatusOK || resp.Error.Message != "cannot encode" {
 		t.Fatalf("status %d: %q (%v)", rec.Code, rec.Body.Bytes(), err)
+	}
+}
+
+// TestSimHugeNetworkRejected: a sim past api.MaxSimN must be a config error
+// on both transports. Unchecked, n=128 exhausts memory building the route
+// tables, a fatal error that kills the daemon with every request in flight;
+// n=65 with 1-cycle phases used to answer ok.
+func TestSimHugeNetworkRejected(t *testing.T) {
+	const body = `{"n":65,"warmup":1,"measure":1,"drain":1}`
+	srv := New(Config{})
+	code, buf := httpCall(srv, "sim", body)
+	if code != http.StatusBadRequest || errorKind(buf) != "config" {
+		t.Fatalf("HTTP: status %d: %s", code, buf)
+	}
+	if resp := stdioCall(t, srv, "sim", body); resp.OK || resp.Error == nil || resp.Error.Kind != "config" {
+		t.Fatalf("stdio: %+v", resp)
+	}
+}
+
+// TestTrailingBodyDataRejected: a body with anything after its JSON value
+// is a config error, not a request that runs on its first value.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	srv := New(Config{})
+	for _, body := range []string{`{"n":4,"c":2} trailing-garbage`, `{"n":4,"c":2}{"n":5}`} {
+		code, buf := httpCall(srv, "solve", body)
+		if code != http.StatusBadRequest || errorKind(buf) != "config" {
+			t.Fatalf("%s: status %d: %s", body, code, buf)
+		}
+	}
+	if c := srv.Store().Counters(); c.Solves != 0 {
+		t.Fatalf("rejected bodies solved: %s", c)
 	}
 }

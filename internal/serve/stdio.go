@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"explink/internal/api"
 	"explink/internal/runctl"
-	"explink/internal/stats"
 )
 
 // The stdio transport speaks newline-delimited JSON, the protocol shape an
@@ -27,8 +25,8 @@ import (
 //	→ {"id":2,"op":"eval","req":{"n":8,"c":3,"express":[...]}}
 //	← {"id":2,"ok":false,"error":{"kind":"config","message":"..."}}
 //
-// Ops: solve, eval, sim, exp, pareto (api.SolveRequest/EvalRequest/
-// SimRequest/ExpRequest/ParetoRequest payloads), ping (liveness + drain
+// Ops: every entry of the api.Ops table (the req payload is the op's HTTP
+// body, and the result its compacted HTTP answer), ping (liveness + drain
 // status, never gated) and shutdown (stop reading, finish in-flight work,
 // exit the loop).
 
@@ -36,8 +34,7 @@ import (
 type stdioRequest struct {
 	// ID is echoed verbatim on the response; any JSON value works.
 	ID json.RawMessage `json:"id,omitempty"`
-	// Op selects the operation: solve, eval, sim, exp, pareto, ping,
-	// shutdown.
+	// Op selects the operation: an api.Ops name, ping or shutdown.
 	Op string `json:"op"`
 	// Req is the op's request payload (same schema as the HTTP body).
 	Req json.RawMessage `json:"req,omitempty"`
@@ -69,8 +66,8 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 	write := func(resp stdioResponse) {
 		buf, err := json.Marshal(resp)
 		if err != nil {
-			// Result was pre-sanitized; this is unreachable short of a broken
-			// ID payload. Degrade to a bare error line.
+			// The id was parsed from JSON and results come from the op
+			// encoders, so this is unreachable. Degrade to a bare error line.
 			buf, _ = json.Marshal(stdioResponse{ID: resp.ID, Error: &api.ErrorBody{Kind: "internal", Message: err.Error()}})
 		}
 		wmu.Lock()
@@ -82,7 +79,7 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 	// loop can also notice cancellation/drain; after either, the reader
 	// goroutine dies with the process (or on stdin close).
 	lines := make(chan []byte)
-	readErr := make(chan error, 1)
+	var readErr error // set before lines closes
 	go func() {
 		defer close(lines)
 		sc := bufio.NewScanner(r)
@@ -98,7 +95,7 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 				return
 			}
 		}
-		readErr <- sc.Err()
+		readErr = sc.Err()
 	}()
 
 	defer wg.Wait()
@@ -110,12 +107,7 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 			return nil // draining: stop admitting, finish in-flight (deferred wg.Wait)
 		case line, ok := <-lines:
 			if !ok {
-				select {
-				case err := <-readErr:
-					return err
-				default:
-					return nil
-				}
+				return readErr
 			}
 			var req stdioRequest
 			if err := json.Unmarshal(line, &req); err != nil {
@@ -123,161 +115,31 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 					Message: fmt.Sprintf("bad request line: %v", err)}})
 				continue
 			}
-			switch req.Op {
-			case "ping":
-				status := "ok"
-				if s.gate.draining() {
-					status = "draining"
+			switch op, ok := api.Lookup(req.Op); {
+			case ok:
+				wg.Add(1)
+				body := req.Req
+				if len(body) == 0 {
+					body = []byte("{}") // an absent payload asks for every default
 				}
-				raw, _ := json.Marshal(map[string]string{"status": status, "schema": api.SchemaVersion})
+				go func() {
+					defer wg.Done()
+					s.dispatch(ctx, "stdio", "", op, bytes.NewReader(body), api.Env{Store: s.store}, func(rep api.Reply, err error) {
+						// Marshalling compacts the RawMessage result: stdio
+						// carries the HTTP body without its indentation.
+						write(stdioResponse{ID: req.ID, OK: err == nil, Result: rep.Body, Error: errorBody(err)})
+					})
+				}()
+			case req.Op == "ping":
+				raw, _ := json.Marshal(map[string]string{"status": s.status(), "schema": api.SchemaVersion})
 				write(stdioResponse{ID: req.ID, OK: true, Result: raw})
-			case "shutdown":
+			case req.Op == "shutdown":
 				write(stdioResponse{ID: req.ID, OK: true})
 				return nil
-			case "solve", "eval", "sim", "exp", "pareto":
-				wg.Add(1)
-				go func(req stdioRequest) {
-					defer wg.Done()
-					write(s.stdioDispatch(ctx, req))
-				}(req)
 			default:
 				write(stdioResponse{ID: req.ID, Error: &api.ErrorBody{Kind: "config",
 					Message: fmt.Sprintf("unknown op %q", req.Op)}})
 			}
 		}
 	}
-}
-
-// stdioDispatch runs one gated op and builds its response line. It mirrors
-// the HTTP path: same admission gate, same drain-aware context, same
-// request types, same error taxonomy — only the framing differs.
-func (s *Server) stdioDispatch(ctx context.Context, req stdioRequest) stdioResponse {
-	s.met.request("stdio")
-	release, err := s.gate.acquire(ctx)
-	if err != nil {
-		s.met.reject(reasonOf(err))
-		return stdioError(req.ID, err)
-	}
-	s.wg.Add(1)
-	rctx, cancel := context.WithCancelCause(ctx)
-	stop := context.AfterFunc(s.base, func() { cancel(context.Cause(s.base)) })
-	start := time.Now()
-	defer func() {
-		stop()
-		cancel(nil)
-		release()
-		s.met.observe("stdio", time.Since(start))
-		s.wg.Done()
-	}()
-
-	result, err := s.stdioRun(rctx, req)
-	if result == nil {
-		s.met.failure("stdio")
-		return stdioError(req.ID, err)
-	}
-	raw, _, merr := stats.MarshalSanitized(result)
-	if merr != nil {
-		s.met.failure("stdio")
-		return stdioError(req.ID, merr)
-	}
-	resp := stdioResponse{ID: req.ID, OK: err == nil, Result: raw}
-	if err != nil {
-		s.met.failure("stdio")
-		resp.Error = api.ErrorBodyOf(err)
-	}
-	return resp
-}
-
-// stdioRun parses, validates and executes one op payload, returning the
-// response value to marshal (nil means pure failure) and the run error. A
-// truncated sim run returns both: partial data plus its classifying error.
-func (s *Server) stdioRun(ctx context.Context, req stdioRequest) (any, error) {
-	switch req.Op {
-	case "solve":
-		var sr api.SolveRequest
-		if err := unmarshalReq(req.Req, &sr); err != nil {
-			return nil, err
-		}
-		sr.Normalize()
-		if err := sr.Validate(); err != nil {
-			return nil, err
-		}
-		best, all, err := sr.Solve(ctx, s.store)
-		if err != nil {
-			return nil, err
-		}
-		return api.NewSolveResponse(best, all), nil
-	case "eval":
-		var er api.EvalRequest
-		if err := unmarshalReq(req.Req, &er); err != nil {
-			return nil, err
-		}
-		er.Normalize()
-		if err := er.Validate(); err != nil {
-			return nil, err
-		}
-		resp, err := er.Eval()
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	case "sim":
-		var mr api.SimRequest
-		if err := unmarshalReq(req.Req, &mr); err != nil {
-			return nil, err
-		}
-		mr.Normalize()
-		if err := mr.Validate(); err != nil {
-			return nil, err
-		}
-		resp, err := s.runSim(ctx, &mr)
-		if err != nil && !resp.Partial() {
-			return nil, err
-		}
-		resp.Error = api.ErrorBodyOf(err)
-		return resp, err
-	case "exp":
-		var xr api.ExpRequest
-		if err := unmarshalReq(req.Req, &xr); err != nil {
-			return nil, err
-		}
-		xr.Normalize()
-		if err := xr.Validate(); err != nil {
-			return nil, err
-		}
-		sel, err := api.SelectExperiments(xr.Experiments)
-		if err != nil {
-			return nil, err
-		}
-		return s.runExp(ctx, sel, &xr, nil), nil
-	case "pareto":
-		var pr api.ParetoRequest
-		if err := unmarshalReq(req.Req, &pr); err != nil {
-			return nil, err
-		}
-		pr.Normalize()
-		if err := pr.Validate(); err != nil {
-			return nil, err
-		}
-		f, err := pr.Solve(ctx, s.store)
-		if err != nil {
-			return nil, err
-		}
-		return api.NewParetoResponse(f), nil
-	}
-	return nil, fmt.Errorf("unknown op %q: %w", req.Op, runctl.ErrConfig)
-}
-
-func stdioError(id json.RawMessage, err error) stdioResponse {
-	_, kind := statusOf(err)
-	return stdioResponse{ID: id, Error: &api.ErrorBody{Kind: kind, Message: err.Error()}}
-}
-
-// unmarshalReq parses an op payload strictly, classifying failures as config
-// errors like the HTTP body decoder.
-func unmarshalReq(raw json.RawMessage, v any) error {
-	if len(raw) == 0 {
-		raw = []byte("{}")
-	}
-	return decodeBody(bytes.NewReader(raw), v)
 }
