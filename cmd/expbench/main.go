@@ -102,6 +102,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "expbench: %v\n", err)
 		return 1
 	}
+	if err := api.ValidateReplicas(*replicas); err != nil {
+		fmt.Fprintf(os.Stderr, "expbench: -replicas: %v\n", err)
+		return 1
+	}
 
 	if *list {
 		for _, e := range exp.All() {

@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"explink/internal/anneal"
 	"explink/internal/core"
 	"explink/internal/exp"
 	"explink/internal/obs"
@@ -59,9 +60,13 @@ func run(addr string, stdio bool, cacheDir string, maxInflight, maxQueue int, ra
 	}
 	reg := obs.NewRegistry()
 	sim.EnableMetrics(reg)
+	anneal.EnableMetrics(reg)
+	core.EnableMetrics(reg)
 	exp.EnableMetrics(reg)
 	defer func() {
 		sim.EnableMetrics(nil)
+		anneal.EnableMetrics(nil)
+		core.EnableMetrics(nil)
 		exp.EnableMetrics(nil)
 	}()
 	var ev *obs.EventWriter

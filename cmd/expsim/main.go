@@ -147,15 +147,17 @@ func main() {
 		return
 	}
 
+	// A single run is a batch of one replica.
+	b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, *replicas))
+	if err != nil {
+		fatal(err)
+	}
+	results, agg, err := b.Run(ctx, 0)
+	if err != nil {
+		fatal(err)
+	}
+	s := b.Replicas()[0]
 	if *replicas > 1 {
-		b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, *replicas))
-		if err != nil {
-			fatal(err)
-		}
-		results, agg, err := b.Run(ctx, 0)
-		if err != nil {
-			fatal(err)
-		}
 		res := sim.AggregateReplicas(results)
 		fmt.Println(res.String())
 		fmt.Printf("  p95=%d p99=%d max=%d cycles, measured packets=%d (across %d replicas)\n",
@@ -166,19 +168,12 @@ func main() {
 		}
 		fmt.Printf("  simulated %s\n", agg)
 		if *heatmap {
-			fmt.Print(b.Replicas()[0].UtilizationHeatmap())
+			fmt.Print(s.UtilizationHeatmap())
 		}
 		return
 	}
 
-	s, err := sim.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := s.Run(ctx)
-	if err != nil {
-		fatal(err)
-	}
+	res := results[0]
 	fmt.Println(res.String())
 	fmt.Printf("  p95=%d p99=%d max=%d cycles, measured packets=%d\n",
 		res.P95Latency, res.P99Latency, res.MaxLatency, res.MeasuredPackets)

@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"explink/internal/api"
 	"explink/internal/core"
 	"explink/internal/exp"
 	"explink/internal/fabric"
@@ -73,6 +74,10 @@ func run() int {
 		progress = flag.Bool("progress", false, "emit JSON-lines lifecycle events on stderr")
 	)
 	flag.Parse()
+	if err := api.ValidateReplicas(*replicas); err != nil {
+		fmt.Fprintf(os.Stderr, "expsweep: -replicas: %v\n", err)
+		return 1
+	}
 
 	// Ctrl-C / SIGTERM drains: workers complete their in-flight unit as
 	// cancelled (the coordinator re-queues it) and exit; a coordinator

@@ -39,6 +39,11 @@ const (
 	MaxSimN = 64
 )
 
+// MaxReplicas bounds the seed replicas of one simulated operating point
+// (SimRequest, ExpRequest and the CLIs' -replicas flags). A batch builds
+// every replica before stepping any, so memory grows linearly with the count.
+const MaxReplicas = 64
+
 // configErr builds a validation error wrapping runctl.ErrConfig, so every
 // rejected request classifies as Kind "config" (HTTP 400) via errors.Is
 // regardless of which binary rejected it.
@@ -137,7 +142,8 @@ type SimRequest struct {
 	Measure int `json:"measure,omitempty"`
 	Drain   int `json:"drain,omitempty"`
 	// Replicas runs this many decorrelated seed replicas on the batched
-	// engine and reports each plus the aggregate; 0 means 1.
+	// engine and reports each plus the aggregate; 0 means 1, and at most
+	// MaxReplicas.
 	Replicas int `json:"replicas,omitempty"`
 	// Saturate searches for the saturation throughput instead of running a
 	// single operating point.
@@ -170,11 +176,11 @@ func (r *SimRequest) Validate() error {
 
 // ValidateSimParams is the shared fail-fast check over the run-shape
 // parameters every simulation entry point accepts (the expsim flags and
-// SimRequest fields): phase lengths and the replica count must be positive
-// and the injection rate must sit in [0, 1]. Downstream code tolerates some
-// of these (a zero measure window divides throughput by zero, a zero replica
-// count silently means one), so the boundary rejects them with
-// runctl.ErrConfig instead of letting them misbehave later.
+// SimRequest fields): phase lengths must be positive, the replica count must
+// sit in [1, MaxReplicas] and the injection rate in [0, 1]. Downstream code
+// tolerates some of these (a zero measure window divides throughput by zero,
+// a zero replica count silently means one), so the boundary rejects them
+// with runctl.ErrConfig instead of letting them misbehave later.
 func ValidateSimParams(warmup, measure, drain, replicas int, rate float64) error {
 	if warmup <= 0 {
 		return configErr("warmup %d cycles must be positive", warmup)
@@ -185,11 +191,20 @@ func ValidateSimParams(warmup, measure, drain, replicas int, rate float64) error
 	if drain < 0 {
 		return configErr("drain %d cycles must be non-negative", drain)
 	}
-	if replicas <= 0 {
-		return configErr("replica count %d must be positive", replicas)
+	if err := ValidateReplicas(replicas); err != nil {
+		return err
 	}
 	if rate < 0 || rate > 1 {
 		return configErr("injection rate %g out of [0,1]", rate)
+	}
+	return nil
+}
+
+// ValidateReplicas rejects a replica count outside [1, MaxReplicas] with a
+// runctl.ErrConfig-typed error.
+func ValidateReplicas(replicas int) error {
+	if replicas <= 0 || replicas > MaxReplicas {
+		return configErr("replica count %d out of [1,%d]", replicas, MaxReplicas)
 	}
 	return nil
 }
@@ -206,7 +221,7 @@ type ExpRequest struct {
 	// Seed is the shared random seed; 0 means the default seed 1.
 	Seed uint64 `json:"seed,omitempty"`
 	// Replicas runs every simulated operating point this many times; 0
-	// means 1.
+	// means 1, and at most MaxReplicas.
 	Replicas int `json:"replicas,omitempty"`
 	// Parallel bounds how many experiments run concurrently; 0 means 1.
 	Parallel int `json:"parallel,omitempty"`
@@ -223,8 +238,8 @@ func (r *ExpRequest) Normalize() {
 // Validate rejects malformed requests, unknown experiment names included,
 // with runctl.ErrConfig-typed errors.
 func (r *ExpRequest) Validate() error {
-	if r.Replicas <= 0 {
-		return configErr("replica count %d must be positive", r.Replicas)
+	if err := ValidateReplicas(r.Replicas); err != nil {
+		return err
 	}
 	if r.Parallel <= 0 {
 		return configErr("parallelism %d must be positive", r.Parallel)

@@ -132,35 +132,26 @@ func (r *SimRequest) Run(ctx context.Context, store *core.PlacementStore) (SimRe
 	if err != nil {
 		return resp, err
 	}
-	switch {
-	case r.Saturate:
+	if r.Saturate {
 		opts := sim.DefaultSaturationOpts()
-		if r.Replicas > 1 {
-			opts.Replicas = r.Replicas
-		}
+		opts.Replicas = r.Replicas
 		sr, err := sim.FindSaturation(ctx, cfg, opts)
 		if len(sr.Points) > 0 || err == nil {
 			resp.Sweep = &sr
 		}
 		return resp, err
-	case r.Replicas > 1:
-		b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, r.Replicas))
-		if err != nil {
-			return resp, err
-		}
-		results, _, err := b.Run(ctx, 0)
-		if len(results) > 0 {
-			agg := sim.AggregateReplicas(results)
-			resp.Replicas, resp.Aggregate = results, &agg
-		}
-		return resp, err
-	default:
-		sm, err := sim.New(cfg)
-		if err != nil {
-			return resp, err
-		}
-		res, err := sm.Run(ctx)
-		resp.Result = &res
+	}
+	// A single operating point is a batch of one replica.
+	b, err := sim.NewBatch(cfg, sim.ReplicaSeeds(cfg.Seed, r.Replicas))
+	if err != nil {
 		return resp, err
 	}
+	results, _, err := b.Run(ctx, 0)
+	if r.Replicas > 1 {
+		agg := sim.AggregateReplicas(results)
+		resp.Replicas, resp.Aggregate = results, &agg
+	} else {
+		resp.Result = &results[0]
+	}
+	return resp, err
 }

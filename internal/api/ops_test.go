@@ -93,9 +93,10 @@ func TestEncodedFailureReturnsNoBody(t *testing.T) {
 
 // FuzzOpDecode drives the table's decode → Normalize → Validate steps on an
 // arbitrary (op, body) pair without running the op: nothing panics, every
-// rejection is a config error, Normalize is idempotent, and no sim request
-// past MaxSimN validates. The checked-in corpus holds one valid body per op
-// plus a trailing-data body, an n=65 sim and a seed-0 solve.
+// rejection is a config error, Normalize is idempotent, no sim request past
+// MaxSimN validates and no sim or exp request past MaxReplicas does. The
+// checked-in corpus holds one valid body per op plus a trailing-data body, an
+// n=65 sim, sim and exp bodies with 65 replicas and a seed-0 solve.
 func FuzzOpDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opIndex uint8, body []byte) {
 		op := Ops[int(opIndex)%len(Ops)]
@@ -119,8 +120,18 @@ func FuzzOpDecode(f *testing.F) {
 		if err != nil && !errors.Is(err, runctl.ErrConfig) {
 			t.Fatalf("%s: validation error %v is not a config error", op.Name, err)
 		}
-		if sr, ok := req.(*SimRequest); ok && sr.N > MaxSimN && err == nil {
-			t.Fatalf("sim with n=%d validated", sr.N)
+		if err != nil {
+			return
+		}
+		switch r := req.(type) {
+		case *SimRequest:
+			if r.N > MaxSimN || r.Replicas > MaxReplicas {
+				t.Fatalf("sim with n=%d, replicas=%d validated", r.N, r.Replicas)
+			}
+		case *ExpRequest:
+			if r.Replicas > MaxReplicas {
+				t.Fatalf("exp with replicas=%d validated", r.Replicas)
+			}
 		}
 	})
 }

@@ -621,6 +621,42 @@ func TestSimHugeNetworkRejected(t *testing.T) {
 	}
 }
 
+// TestSimReplicaCapRejected: a sim past api.MaxReplicas must be a config
+// error on both transports. Unchecked, a batch builds every replica before
+// stepping, so {"n":64,"replicas":400} exhausted memory and killed the
+// daemon; this small network used to answer ok.
+func TestSimReplicaCapRejected(t *testing.T) {
+	body := fmt.Sprintf(`{"n":2,"warmup":1,"measure":1,"drain":1,"replicas":%d}`, api.MaxReplicas+1)
+	srv := New(Config{})
+	code, buf := httpCall(srv, "sim", body)
+	if code != http.StatusBadRequest || errorKind(buf) != "config" {
+		t.Fatalf("HTTP: status %d: %s", code, buf)
+	}
+	if resp := stdioCall(t, srv, "sim", body); resp.OK || resp.Error == nil || resp.Error.Kind != "config" {
+		t.Fatalf("stdio: %+v", resp)
+	}
+}
+
+// TestSimPhaseOverflowRejected: phase lengths whose sum wraps the cycle
+// counter used to answer 200 with a fabricated zero-cycle "drained" run.
+// Both transports must reject them as config errors.
+func TestSimPhaseOverflowRejected(t *testing.T) {
+	srv := New(Config{})
+	for _, body := range []string{
+		`{"n":4,"warmup":1,"measure":9223372036854775807}`,
+		`{"n":4,"warmup":9223372036854775807}`,
+		`{"n":4,"warmup":4611686018427387904,"measure":4611686018427387904,"drain":4611686018427387904}`,
+	} {
+		code, buf := httpCall(srv, "sim", body)
+		if code != http.StatusBadRequest || errorKind(buf) != "config" {
+			t.Fatalf("HTTP %s: status %d: %s", body, code, buf)
+		}
+		if resp := stdioCall(t, srv, "sim", body); resp.OK || resp.Error == nil || resp.Error.Kind != "config" {
+			t.Fatalf("stdio %s: %+v", body, resp)
+		}
+	}
+}
+
 // TestTrailingBodyDataRejected: a body with anything after its JSON value
 // is a config error, not a request that runs on its first value.
 func TestTrailingBodyDataRejected(t *testing.T) {

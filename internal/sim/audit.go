@@ -158,11 +158,9 @@ func (a *auditor) checkActiveSets(now int64) error {
 				return a.fail(now, "active-set",
 					"router %d in[%d]: pending mask %b not a subset of occupancy %b", r.id, pi, ip.pend, ip.occ)
 			}
-			if !r.wide {
-				if set := r.portOcc>>uint(pi)&1 == 1; set != (ip.occ != 0) {
-					return a.fail(now, "active-set",
-						"router %d: portOcc bit %d is %v but port occupancy is %b", r.id, pi, set, ip.occ)
-				}
+			if set := r.portOcc>>uint(pi)&1 == 1; set != (ip.occ != 0) {
+				return a.fail(now, "active-set",
+					"router %d: portOcc bit %d is %v but port occupancy is %b", r.id, pi, set, ip.occ)
 			}
 		}
 		if total != r.occupied {

@@ -64,10 +64,11 @@ const batchChunk = 4 * (ctxCheckMask + 1)
 // worker interleaves its replicas in batchChunk-cycle slices, so results are
 // bit-identical to running each replica alone regardless of worker count.
 //
-// The partial-results contract matches RunMany: the result slice always has
-// one entry per seed, failed replicas (deadlock, audit, cancellation)
+// The partial-results contract matches RunManyAgg: the result slice always
+// has one entry per seed, failed replicas (deadlock, audit, cancellation)
 // contribute an error wrapped with their replica index to the joined error,
-// and a replica's WallTime is the batch elapsed time at its finish.
+// and a replica's WallTime is the batch elapsed time at its finish. Every
+// replica starts at once, so a cancelled replica keeps its partial Result.
 func (b *Batch) Run(ctx context.Context, workers int) ([]Result, Agg, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -121,16 +122,7 @@ func (b *Batch) Run(ctx context.Context, workers int) ([]Result, Agg, error) {
 	}
 	wg.Wait()
 
-	var agg Agg
-	for i := range results {
-		if errs[i] == nil {
-			agg.SimCycles += results[i].Cycles
-		}
-	}
-	agg.WallTime = time.Since(start)
-	if sec := agg.WallTime.Seconds(); sec > 0 {
-		agg.CyclesPerSec = float64(agg.SimCycles) / sec
-	}
+	agg := aggOf(results, errs, start)
 	if met != nil {
 		met.batchCyclesPerSec.Set(agg.CyclesPerSec)
 	}
@@ -150,18 +142,6 @@ func ReplicaSeeds(base uint64, r int) []uint64 {
 		seeds[i] = stats.MixSeed(base, uint64(i))
 	}
 	return seeds
-}
-
-// ReplicaConfigs expands cfg into r copies differing only by Seed, seeded by
-// ReplicaSeeds — the shape RunManyAgg detects and routes to the batch engine.
-func ReplicaConfigs(cfg Config, r int) []Config {
-	seeds := ReplicaSeeds(cfg.Seed, r)
-	cfgs := make([]Config, r)
-	for i := range cfgs {
-		cfgs[i] = cfg
-		cfgs[i].Seed = seeds[i]
-	}
-	return cfgs
 }
 
 // AggregateReplicas folds per-replica results of one operating point into a
@@ -214,17 +194,15 @@ func AggregateReplicas(results []Result) Result {
 	out.AvgContentionPerHop /= n
 	out.ThroughputPackets /= n
 	out.ThroughputFlits /= n
-	if sec := out.WallTime.Seconds(); sec > 0 {
-		out.CyclesPerSec = float64(out.Cycles) / sec
-	}
+	out.CyclesPerSec = cyclesPerSec(out.Cycles, out.WallTime)
 	return out
 }
 
 // RunManyReplicatedAgg runs every config `replicas` times with decorrelated
 // seeds (ReplicaSeeds) and returns one AggregateReplicas summary per config.
-// replicas <= 1 is exactly RunManyAgg. Each config's replica group is a
-// seed-only sweep, so it runs on the batch engine; a group whose runs fail
-// contributes one error wrapped with its config index.
+// replicas <= 1 is exactly RunManyAgg. Each config's replica group runs as
+// one Batch; a group that fails to build or run contributes one error
+// wrapped with its config index.
 func RunManyReplicatedAgg(ctx context.Context, cfgs []Config, replicas, workers int) ([]Result, Agg, error) {
 	if replicas <= 1 {
 		return RunManyAgg(ctx, cfgs, workers)
@@ -232,19 +210,27 @@ func RunManyReplicatedAgg(ctx context.Context, cfgs []Config, replicas, workers 
 	start := time.Now()
 	results := make([]Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var agg Agg
+	var cycles int64
 	for i, cfg := range cfgs {
-		reps, a, err := RunManyAgg(ctx, ReplicaConfigs(cfg, replicas), workers)
-		agg.SimCycles += a.SimCycles
+		reps, a, err := runReplicas(ctx, cfg, replicas, workers)
+		cycles += a.SimCycles
 		if err != nil {
 			errs[i] = fmt.Errorf("sim: config %d: %w", i, err)
 			continue
 		}
 		results[i] = AggregateReplicas(reps)
 	}
-	agg.WallTime = time.Since(start)
-	if sec := agg.WallTime.Seconds(); sec > 0 {
-		agg.CyclesPerSec = float64(agg.SimCycles) / sec
-	}
+	wall := time.Since(start)
+	agg := Agg{SimCycles: cycles, WallTime: wall, CyclesPerSec: cyclesPerSec(cycles, wall)}
 	return results, agg, errors.Join(errs...)
+}
+
+// runReplicas builds and runs cfg as a Batch of r replicas seeded by
+// ReplicaSeeds; a config that fails to build returns no results.
+func runReplicas(ctx context.Context, cfg Config, r, workers int) ([]Result, Agg, error) {
+	b, err := NewBatch(cfg, ReplicaSeeds(cfg.Seed, r))
+	if err != nil {
+		return nil, Agg{}, err
+	}
+	return b.Run(ctx, workers)
 }

@@ -24,10 +24,17 @@ func TestReplicaSeeds(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	cfgs := ReplicaConfigs(quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.02), 3)
-	if _, _, ok := seedVariants(cfgs); !ok {
-		t.Fatal("ReplicaConfigs output not detected as a seed sweep")
+}
+
+// seedSweep expands cfg into one config per ReplicaSeeds seed: the pool-side
+// equivalent of NewBatch(cfg, ReplicaSeeds(cfg.Seed, r)).
+func seedSweep(cfg Config, r int) []Config {
+	cfgs := make([]Config, r)
+	for i, seed := range ReplicaSeeds(cfg.Seed, r) {
+		cfgs[i] = cfg
+		cfgs[i].Seed = seed
 	}
+	return cfgs
 }
 
 func TestAggregateReplicas(t *testing.T) {
@@ -168,15 +175,15 @@ func batchBenchCfg() Config {
 	return cfg
 }
 
-func benchReplicas(b *testing.B, runner func(ctx context.Context, cfgs []Config) (Agg, error)) {
-	cfgs := ReplicaConfigs(batchBenchCfg(), 8)
+func benchReplicas(b *testing.B, runner func(ctx context.Context, cfg Config) (Agg, error)) {
+	cfg := batchBenchCfg()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var agg Agg
 	for i := 0; i < b.N; i++ {
 		var err error
-		agg, err = runner(ctx, cfgs)
+		agg, err = runner(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,22 +194,28 @@ func benchReplicas(b *testing.B, runner func(ctx context.Context, cfgs []Config)
 	}
 }
 
+// runBatch8 runs the reference operating point as a Batch of 8 replicas.
+func runBatch8(ctx context.Context, cfg Config) (Agg, error) {
+	bt, err := NewBatch(cfg, ReplicaSeeds(cfg.Seed, 8))
+	if err != nil {
+		return Agg{}, err
+	}
+	_, agg, err := bt.Run(ctx, 0)
+	return agg, err
+}
+
+// runPool8 runs the same 8 seeds as independent simulators in the pool.
+func runPool8(ctx context.Context, cfg Config) (Agg, error) {
+	_, agg, err := RunManyAgg(ctx, seedSweep(cfg, 8), 0)
+	return agg, err
+}
+
 // BenchmarkRunManyAggBatch8 and BenchmarkRunManyAggPool8 compare the batched
 // replica engine against the per-run worker pool at R=8 on the reference
 // operating point; agg-cycles/sec is the headline metric of BENCH_sim.json.
-func BenchmarkRunManyAggBatch8(b *testing.B) {
-	benchReplicas(b, func(ctx context.Context, cfgs []Config) (Agg, error) {
-		_, agg, err := RunManyAgg(ctx, cfgs, 0)
-		return agg, err
-	})
-}
+func BenchmarkRunManyAggBatch8(b *testing.B) { benchReplicas(b, runBatch8) }
 
-func BenchmarkRunManyAggPool8(b *testing.B) {
-	benchReplicas(b, func(ctx context.Context, cfgs []Config) (Agg, error) {
-		_, agg, err := runManyPool(ctx, cfgs, 0)
-		return agg, err
-	})
-}
+func BenchmarkRunManyAggPool8(b *testing.B) { benchReplicas(b, runPool8) }
 
 // TestBatchThroughputAtLeastPool is the CI bench smoke: on the reference
 // operating point the batched path must not be slower than the worker pool
@@ -212,12 +225,12 @@ func TestBatchThroughputAtLeastPool(t *testing.T) {
 	if os.Getenv("EXPLINK_BENCH_SMOKE") == "" {
 		t.Skip("set EXPLINK_BENCH_SMOKE=1 to run the throughput smoke test")
 	}
-	cfgs := ReplicaConfigs(batchBenchCfg(), 8)
+	cfg := batchBenchCfg()
 	ctx := context.Background()
-	best := func(run func() (Agg, error)) float64 {
+	best := func(run func(context.Context, Config) (Agg, error)) float64 {
 		m := 0.0
 		for i := 0; i < 3; i++ {
-			agg, err := run()
+			agg, err := run(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,12 +243,10 @@ func TestBatchThroughputAtLeastPool(t *testing.T) {
 	// Interleave the two paths so host throttling hits both alike.
 	var pool, batch float64
 	for i := 0; i < 3; i++ {
-		p := best(func() (Agg, error) { _, agg, err := runManyPool(ctx, cfgs, 0); return agg, err })
-		bt := best(func() (Agg, error) { _, agg, err := RunManyAgg(ctx, cfgs, 0); return agg, err })
-		if p > pool {
+		if p := best(runPool8); p > pool {
 			pool = p
 		}
-		if bt > batch {
+		if bt := best(runBatch8); bt > batch {
 			batch = bt
 		}
 	}
@@ -244,6 +255,6 @@ func TestBatchThroughputAtLeastPool(t *testing.T) {
 	// are allocations (-65%) and construction sharing. Allow a 10% noise band
 	// so host jitter cannot flake the smoke while a real regression still trips.
 	if batch < 0.9*pool {
-		t.Fatalf("batched RunManyAgg slower than the worker pool: %.0f < 0.9*%.0f agg-cycles/sec", batch, pool)
+		t.Fatalf("batch engine slower than the worker pool: %.0f < 0.9*%.0f agg-cycles/sec", batch, pool)
 	}
 }

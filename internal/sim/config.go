@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"explink/internal/model"
 	"explink/internal/topo"
@@ -194,6 +195,12 @@ func (c *Config) normalize() error {
 	}
 	if c.Warmup < 0 || c.Measure <= 0 || c.Drain < 0 {
 		return fmt.Errorf("sim: bad phase lengths warmup=%d measure=%d drain=%d", c.Warmup, c.Measure, c.Drain)
+	}
+	if c.Measure > math.MaxInt-c.Warmup || c.Drain > math.MaxInt-c.Warmup-c.Measure {
+		// The phase boundaries are cumulative cycle counts; a wrapped sum
+		// would end the run before it starts and report it drained.
+		return fmt.Errorf("sim: phase lengths warmup=%d measure=%d drain=%d overflow the cycle counter: %w",
+			c.Warmup, c.Measure, c.Drain, ErrConfig)
 	}
 	if c.ProgressTimeout <= 0 {
 		c.ProgressTimeout = 10000

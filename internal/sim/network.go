@@ -1,16 +1,13 @@
 package sim
 
 import (
+	"fmt"
+
 	"explink/internal/model"
 	"explink/internal/route"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
-
-// maxMaskPorts bounds the input-port occupancy bitmask: routers with more
-// input ports take routerCycleWide's scan path instead. A variable (always 64
-// in production) so tests can force the scan path on small networks.
-var maxMaskPorts = 64
 
 // linkRec describes one directed link of the canonical link enumeration:
 // router id ascending, row neighbors then column neighbors, ascending
@@ -131,6 +128,12 @@ func newShared(cfg Config) (*netShared, error) {
 	vcs := cfg.VCs
 	sh.depthOf = make([]int, routers)
 	for id := 0; id < routers; id++ {
+		if n := sh.inCount[id]; n > 64 {
+			// The allocator tracks per-router port occupancy in a 64-bit
+			// mask, as it tracks per-port VC occupancy (Config.VCs <= 64).
+			return nil, fmt.Errorf("sim: router %d (%d,%d) has %d input ports, exceeding the supported maximum of 64: %w",
+				id, id%w, id/w, n, ErrConfig)
+		}
 		sh.totOut += sh.outCount[id]
 		sh.totIn += sh.inCount[id]
 		sh.depthOf[id] = cfg.vcDepth(sh.inCount[id])
@@ -297,11 +300,7 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 				r.routeTabs[1] = sh.routeYX[id*sh.nodes : (id+1)*sh.nodes]
 			}
 		}
-		if n := sh.inCount[id]; n > maxMaskPorts || n > 64 {
-			r.wide = true
-		} else {
-			r.inMask = uint64(1)<<uint(n) - 1
-		}
+		r.inMask = uint64(1)<<uint(sh.inCount[id]) - 1
 		for oi := 0; oi < k; oi++ {
 			r.out[oi].isEject = true
 		}

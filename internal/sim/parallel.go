@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"time"
@@ -26,10 +25,35 @@ func (a Agg) String() string {
 		a.SimCycles, a.WallTime.Round(time.Millisecond), a.CyclesPerSec)
 }
 
-// RunMany executes one simulation per config concurrently and returns the
-// results in input order. Each simulation is fully independent (its own
+// cyclesPerSec is the simulation throughput of cycles simulated over a wall
+// time, or 0 when no time has elapsed.
+func cyclesPerSec(cycles int64, wall time.Duration) float64 {
+	if sec := wall.Seconds(); sec > 0 {
+		return float64(cycles) / sec
+	}
+	return 0
+}
+
+// aggOf totals the cycles of the runs that succeeded and stamps the wall
+// time elapsed since start.
+func aggOf(results []Result, errs []error, start time.Time) Agg {
+	var cycles int64
+	for i := range results {
+		if errs[i] == nil {
+			cycles += results[i].Cycles
+		}
+	}
+	wall := time.Since(start)
+	return Agg{SimCycles: cycles, WallTime: wall, CyclesPerSec: cyclesPerSec(cycles, wall)}
+}
+
+// RunManyAgg executes one simulation per config in a bounded worker pool and
+// returns the results in input order plus the batch's aggregate
+// simulated-cycles/sec. Each simulation is fully independent (its own
 // simulator, PRNG streams and statistics), so the output is bit-identical to
-// running them sequentially. workers <= 0 uses GOMAXPROCS.
+// running them sequentially. workers <= 0 uses GOMAXPROCS. Configs that
+// differ only by seed belong on the batch engine instead (NewBatch with
+// ReplicaSeeds), which builds their shared network description once.
 //
 // Cancelling ctx stops dispatching new runs and interrupts in-flight ones;
 // every run cut short contributes an error matching ErrCancelled.
@@ -40,53 +64,7 @@ func (a Agg) String() string {
 // run produced before stopping (check Truncated), or the zero Result if the
 // run never started, so callers must not consume results[i] without first
 // checking the error.
-func RunMany(ctx context.Context, cfgs []Config, workers int) ([]Result, error) {
-	results, _, err := RunManyAgg(ctx, cfgs, workers)
-	return results, err
-}
-
-// RunManyAgg is RunMany plus the batch's aggregate simulated-cycles/sec, so
-// sweeps can report simulation throughput alongside their results.
-//
-// When every config is identical except for Seed — the replica-sweep shape —
-// the runs are routed to the batch engine (sim.Batch): one shared immutable
-// network description, per-replica mutable state, same per-run results and
-// error wrapping. Anything else, including a batch whose shared config fails
-// validation, takes the worker pool below so per-index errors are preserved.
 func RunManyAgg(ctx context.Context, cfgs []Config, workers int) ([]Result, Agg, error) {
-	if seeds, base, ok := seedVariants(cfgs); ok {
-		if b, err := NewBatch(base, seeds); err == nil {
-			return b.Run(ctx, workers)
-		}
-	}
-	return runManyPool(ctx, cfgs, workers)
-}
-
-// seedVariants reports whether cfgs is a replica sweep: at least two configs
-// that are deeply equal once their Seeds are normalized. Patterns, traces
-// and mixes compare by value (reflect.DeepEqual), so sharing the same
-// Pattern object and constructing equal ones both qualify.
-func seedVariants(cfgs []Config) ([]uint64, Config, bool) {
-	if len(cfgs) < 2 {
-		return nil, Config{}, false
-	}
-	base := cfgs[0]
-	seeds := make([]uint64, len(cfgs))
-	seeds[0] = base.Seed
-	for i := 1; i < len(cfgs); i++ {
-		c := cfgs[i]
-		seeds[i] = c.Seed
-		c.Seed = base.Seed
-		if !reflect.DeepEqual(c, base) {
-			return nil, Config{}, false
-		}
-	}
-	return seeds, base, true
-}
-
-// runManyPool is the general path: one simulator per config, built and run
-// inside a bounded worker pool.
-func runManyPool(ctx context.Context, cfgs []Config, workers int) ([]Result, Agg, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -131,16 +109,5 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-
-	var agg Agg
-	for i := range results {
-		if errs[i] == nil {
-			agg.SimCycles += results[i].Cycles
-		}
-	}
-	agg.WallTime = time.Since(start)
-	if sec := agg.WallTime.Seconds(); sec > 0 {
-		agg.CyclesPerSec = float64(agg.SimCycles) / sec
-	}
-	return results, agg, errors.Join(errs...)
+	return results, aggOf(results, errs, start), errors.Join(errs...)
 }

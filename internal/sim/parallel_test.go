@@ -17,7 +17,7 @@ func TestRunManyMatchesSequential(t *testing.T) {
 		cfg.Measure = 2000
 		cfgs = append(cfgs, cfg)
 	}
-	par, err := RunMany(context.Background(), cfgs, 3)
+	par, _, err := RunManyAgg(context.Background(), cfgs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,47 +36,22 @@ func TestRunManyMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSeedVariantsDetection pins when RunManyAgg routes to the batch engine:
-// two or more configs that differ only by Seed qualify; anything else —
-// a single config, or any other field differing — takes the worker pool.
-func TestSeedVariantsDetection(t *testing.T) {
-	base := quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.02)
-	a, b := base, base
-	a.Seed, b.Seed = 3, 9
-	seeds, shared, ok := seedVariants([]Config{a, b})
-	if !ok || len(seeds) != 2 || seeds[0] != 3 || seeds[1] != 9 {
-		t.Fatalf("seed sweep not detected: %v %v", seeds, ok)
-	}
-	if shared.Seed != 3 {
-		t.Fatalf("base config seed = %d, want the first config's", shared.Seed)
-	}
-	if _, _, ok := seedVariants([]Config{a}); ok {
-		t.Fatal("single config must not batch")
-	}
-	c := b
-	c.InjectionRate += 0.01
-	if _, _, ok := seedVariants([]Config{a, c}); ok {
-		t.Fatal("configs differing beyond Seed must not batch")
-	}
-	d := b
-	d.Pattern = traffic.Transpose(4)
-	if _, _, ok := seedVariants([]Config{a, d}); ok {
-		t.Fatal("different patterns must not batch")
-	}
-}
-
 // TestRunManyAggBatchMatchesPool drives the same seed sweep through the
-// batched path (RunManyAgg's auto-selection) and the worker pool, and
-// requires bit-identical per-replica results.
+// batch engine (NewBatch with ReplicaSeeds) and the worker pool
+// (RunManyAgg), and requires bit-identical per-seed results.
 func TestRunManyAggBatchMatchesPool(t *testing.T) {
 	cfg := quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.03)
 	cfg.Measure = 2000
-	cfgs := ReplicaConfigs(cfg, 5)
-	batch, _, err := RunManyAgg(context.Background(), cfgs, 3)
+	b, err := NewBatch(cfg, ReplicaSeeds(cfg.Seed, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, _, err := runManyPool(context.Background(), cfgs, 3)
+	batch, _, err := b.Run(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := seedSweep(cfg, 5)
+	pool, _, err := RunManyAgg(context.Background(), cfgs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +63,12 @@ func TestRunManyAggBatchMatchesPool(t *testing.T) {
 }
 
 // TestRunManyAggBatchBadConfigJoin: a seed sweep whose shared config is
-// invalid cannot build a batch; the pool fallback must preserve the
-// partial-results contract of one indexed error per run.
+// invalid must keep the pool's partial-results contract of one indexed
+// error per run.
 func TestRunManyAggBatchBadConfigJoin(t *testing.T) {
 	bad := quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.02)
 	bad.InjectionRate = 7
-	results, _, err := RunManyAgg(context.Background(), ReplicaConfigs(bad, 3), 2)
+	results, _, err := RunManyAgg(context.Background(), seedSweep(bad, 3), 2)
 	if err == nil {
 		t.Fatal("invalid batch config not reported")
 	}
@@ -111,7 +86,7 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 	good := quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.02)
 	bad := good
 	bad.InjectionRate = 7
-	if _, err := RunMany(context.Background(), []Config{good, bad}, 2); err == nil {
+	if _, _, err := RunManyAgg(context.Background(), []Config{good, bad}, 2); err == nil {
 		t.Fatal("bad config error not propagated")
 	}
 }
@@ -124,7 +99,7 @@ func TestRunManyAggregatesAllErrors(t *testing.T) {
 	bad1.InjectionRate = 7
 	bad2 := good
 	bad2.InjectionRate = -1
-	results, err := RunMany(context.Background(), []Config{good, bad1, bad2}, 2)
+	results, _, err := RunManyAgg(context.Background(), []Config{good, bad1, bad2}, 2)
 	if err == nil {
 		t.Fatal("errors swallowed")
 	}
@@ -142,14 +117,14 @@ func TestRunManyAggregatesAllErrors(t *testing.T) {
 }
 
 func TestRunManyEmptyAndDefaults(t *testing.T) {
-	res, err := RunMany(context.Background(), nil, 0)
+	res, _, err := RunManyAgg(context.Background(), nil, 0)
 	if err != nil || len(res) != 0 {
-		t.Fatalf("empty RunMany: %v %v", res, err)
+		t.Fatalf("empty RunManyAgg: %v %v", res, err)
 	}
 	one := []Config{quickCfg(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.01)}
-	res, err = RunMany(context.Background(), one, 0)
+	res, _, err = RunManyAgg(context.Background(), one, 0)
 	if err != nil || len(res) != 1 || res[0].MeasuredPackets == 0 {
-		t.Fatalf("single RunMany: %v %v", res, err)
+		t.Fatalf("single RunManyAgg: %v %v", res, err)
 	}
 }
 

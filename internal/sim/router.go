@@ -115,12 +115,10 @@ type router struct {
 	occupied int // buffered flits across all input VCs; idle routers are skipped
 
 	// portOcc has bit p set iff in[p] buffers at least one flit, letting the
-	// allocator visit only non-empty ports. Routers with more input ports
-	// than the mask width (wide == true, beyond any paper-scale
-	// configuration) skip the mask and take routerCycleWide's scan path.
+	// allocator visit only non-empty ports. newShared rejects routers with
+	// more input ports than the mask holds.
 	portOcc uint64
 	inMask  uint64 // low len(in) bits set; masks rotated nomination words
-	wide    bool
 
 	// wakeAt lets step skip this router's allocator entirely until the given
 	// cycle. routerCycle sets it only when it can prove every earlier cycle
@@ -129,7 +127,7 @@ type router struct {
 	// pipeline readyAt — so until the earliest readyAt, re-running the
 	// allocator would change no state. Any flit delivery resets it to 0,
 	// because a new arrival can need route computation before the cached
-	// wake time. Routers on the wide scan path never set it.
+	// wake time.
 	wakeAt int64
 
 	// Routing tables (Fig. 3b): next-hop positions along the row/column and

@@ -93,13 +93,17 @@ func TestRunManyAggMidBatchCancel(t *testing.T) {
 func TestBatchMidRunCancel(t *testing.T) {
 	cfg := NewConfig(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.05)
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 1<<30, 1000 // endless measurement
-	cfgs := ReplicaConfigs(cfg, 4)
+	const reps = 4
+	b, err := NewBatch(cfg, ReplicaSeeds(cfg.Seed, reps))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	results, _, err := RunManyAgg(ctx, cfgs, 2)
+	results, _, err := b.Run(ctx, 2)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -107,11 +111,11 @@ func TestBatchMidRunCancel(t *testing.T) {
 	if !ok {
 		t.Fatalf("err %T is not a joined error", err)
 	}
-	if n := len(joined.Unwrap()); n != len(cfgs) {
-		t.Fatalf("joined error has %d members, want %d (every replica was in flight)", n, len(cfgs))
+	if n := len(joined.Unwrap()); n != reps {
+		t.Fatalf("joined error has %d members, want %d (every replica was in flight)", n, reps)
 	}
-	if len(results) != len(cfgs) {
-		t.Fatalf("got %d results, want %d", len(results), len(cfgs))
+	if len(results) != reps {
+		t.Fatalf("got %d results, want %d", len(results), reps)
 	}
 	for i, r := range results {
 		if r.Truncated != TruncatedCancelled {

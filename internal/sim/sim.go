@@ -219,9 +219,7 @@ func (s *Simulator) advance(ctx context.Context, budget int64) bool {
 func (s *Simulator) finish(start time.Time) Result {
 	res := s.result(s.drained)
 	res.WallTime = time.Since(start)
-	if sec := res.WallTime.Seconds(); sec > 0 {
-		res.CyclesPerSec = float64(res.Cycles) / sec
-	}
+	res.CyclesPerSec = cyclesPerSec(res.Cycles, res.WallTime)
 	if s.met != nil {
 		s.publishObs()
 		s.met.runsFinished.Inc()
@@ -509,9 +507,7 @@ func (s *Simulator) deliverFlit(r *router, port int, d delivery, arrival int64) 
 	vc.fifo.push(bufEntry{f: d.f, readyAt: readyAt})
 	r.occupied++
 	ip.occ |= 1 << uint(d.vc)
-	if !r.wide {
-		r.portOcc |= 1 << uint(port)
-	}
+	r.portOcc |= 1 << uint(port)
 	r.wakeAt = 0 // a new arrival invalidates any cached no-op window
 	s.rtrAct[uint(r.id)>>6] |= 1 << (uint(r.id) & 63)
 	s.counts.BufferWrites++
@@ -533,10 +529,6 @@ func (s *Simulator) deliverFlit(r *router, port int, d delivery, arrival int64) 
 // grant stages, where rotating a mask right by rr makes trailing-zero order
 // equal to (rr+k)%n order.
 func (s *Simulator) routerCycle(r *router) {
-	if r.wide {
-		s.routerCycleWide(r)
-		return
-	}
 	now := s.now
 
 	// Solo fast path: exactly one occupied VC in the whole router — the
@@ -675,7 +667,7 @@ func (s *Simulator) routerCycle(r *router) {
 	// round-robin order from rrIn over the nominating ports. The pending
 	// flags set in stage 1 are cleared here, so they are always all-false
 	// between routerCycle calls; a granted port's nomination bit is cleared
-	// the way the scan version invalidates its inCand entry.
+	// so it cannot win a second output in the same cycle.
 	ni := len(r.in)
 	for _, oi := range s.outReq {
 		op := &r.out[oi]
@@ -742,98 +734,6 @@ func (s *Simulator) routeAndAllocVC(r *router, ip *inPort, pi, vi int, vc *vcSta
 	}
 }
 
-// routerCycleWide is routerCycle for routers with more input ports than the
-// occupancy mask holds: the same fused allocator, but walking every port and
-// scanning inCand directly during the grant stage. Reached only far beyond
-// paper-scale port counts; TestWidePathMatchesMasked pins its equivalence.
-func (s *Simulator) routerCycleWide(r *router) {
-	now := s.now
-	s.outReq = s.outReq[:0]
-	for pi := range r.in {
-		ip := &r.in[pi]
-		s.inCand[pi] = -1
-		occ := ip.occ
-		if occ == 0 {
-			continue
-		}
-		for m := ip.pend; m != 0; m &= m - 1 {
-			vi := bits.TrailingZeros64(m)
-			vc := &ip.vcs[vi]
-			fe := vc.fifo.front()
-			if fe.f.isHead() && vc.outPort < 0 {
-				p := fe.f.pkt
-				if tab := r.routeTabs[b2i(p.yx)]; tab != nil {
-					vc.outPort = tab[p.dst]
-				} else {
-					vc.outPort = r.routeFlit(p.dst, s.w, s.k, p.yx)
-				}
-			}
-			if vc.outPort >= 0 && vc.outVC < 0 {
-				op := &r.out[vc.outPort]
-				lo, hi := s.vcClass(fe.f.pkt.yx)
-				span := hi - lo
-				for k := 0; k < span; k++ {
-					cand := op.rrVC + k
-					if cand >= span {
-						cand -= span
-					}
-					cand += lo
-					if op.holder[cand] < 0 {
-						op.holder[cand] = int32(pi)<<16 | int32(vi)
-						vc.outVC = int32(cand)
-						op.rrVC = cand - lo + 1
-						if op.rrVC == span {
-							op.rrVC = 0
-						}
-						s.counts.VCAllocs++
-						break
-					}
-				}
-			}
-			if vc.outVC >= 0 {
-				ip.pend &^= 1 << uint(vi)
-			}
-		}
-		nv := len(ip.vcs)
-		for k := 0; k < nv; k++ {
-			vi := (ip.rrVC + k) % nv
-			if occ>>uint(vi)&1 == 0 {
-				continue
-			}
-			vc := &ip.vcs[vi]
-			if vc.frontReady > now || vc.outPort < 0 || vc.outVC < 0 {
-				continue
-			}
-			op := &r.out[vc.outPort]
-			if !op.isEject && op.credits[vc.outVC] <= 0 {
-				continue
-			}
-			s.inCand[pi] = vi
-			if !op.reqd {
-				op.reqd = true
-				s.outReq = append(s.outReq, int(vc.outPort))
-			}
-			break
-		}
-	}
-	for _, oi := range s.outReq {
-		op := &r.out[oi]
-		op.reqd = false
-		ni := len(r.in)
-		for k := 0; k < ni; k++ {
-			pi := (op.rrIn + k) % ni
-			vi := s.inCand[pi]
-			if vi < 0 || r.in[pi].vcs[vi].outPort != int32(oi) {
-				continue
-			}
-			s.inCand[pi] = -1
-			op.rrIn = (pi + 1) % ni
-			s.grantSwitch(r, pi, vi)
-			break
-		}
-	}
-}
-
 // grantSwitch moves the winning flit across the crossbar into its output
 // channel (or to the ejection sink), returns a credit upstream, and releases
 // the output VC on tail flits.
@@ -846,7 +746,7 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 	r.occupied--
 	if vc.fifo.len() == 0 {
 		ip.occ &^= 1 << uint(vi)
-		if ip.occ == 0 && !r.wide {
+		if ip.occ == 0 {
 			r.portOcc &^= 1 << uint(pi)
 		}
 	} else {

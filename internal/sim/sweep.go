@@ -42,11 +42,10 @@ type SaturationOpts struct {
 	// Refine bisection steps between the last stable and first saturated
 	// rate.
 	Refine int
-	// Replicas runs every probe as this many seed replicas on the batch
-	// engine and aggregates them (AggregateReplicas): a probe is stable only
-	// if every replica drained without a deadlock, so the detected knee is
-	// robust to a lucky seed. 0 or 1 probes once with the base seed, which
-	// is bit-identical to the pre-replica behaviour.
+	// Replicas runs every probe as a Batch of this many seed replicas and
+	// aggregates them (AggregateReplicas): a probe is stable only if every
+	// replica drained without a deadlock, so the detected knee is robust to
+	// a lucky seed. 0 or 1 probes once with the base seed, a batch of one.
 	Replicas int
 }
 
@@ -75,38 +74,19 @@ func FindSaturation(ctx context.Context, base Config, opts SaturationOpts) (sr S
 		sort.SliceStable(sr.Points, func(i, j int) bool {
 			return sr.Points[i].Rate < sr.Points[j].Rate
 		})
-		if sec := sr.WallTime.Seconds(); sec > 0 {
-			sr.CyclesPerSec = float64(sr.SimCycles) / sec
-		}
+		sr.CyclesPerSec = cyclesPerSec(sr.SimCycles, sr.WallTime)
 	}()
 	runAt := func(rate float64) (Result, error) {
 		cfg := base
 		cfg.InjectionRate = rate
-		if opts.Replicas > 1 {
-			results, agg, err := RunManyAgg(ctx, ReplicaConfigs(cfg, opts.Replicas), 0)
-			res := AggregateReplicas(results)
-			sr.SimCycles += agg.SimCycles
-			sr.WallTime += agg.WallTime
-			if err != nil && errors.Is(err, ErrDeadlock) &&
-				!errors.Is(err, ErrCancelled) && !errors.Is(err, ErrAudit) && !errors.Is(err, ErrConfig) {
-				// Only deadlocks among the replica failures: a saturation
-				// signal, not a sweep failure. DeadlockSuspected is set on
-				// the aggregate, so stable() rejects the point.
-				err = nil
-			}
-			return res, err
-		}
-		s, err := New(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := s.Run(ctx)
+		results, agg, err := runReplicas(ctx, cfg, max(opts.Replicas, 1), 0)
+		res := AggregateReplicas(results)
 		sr.SimCycles += res.Cycles
-		sr.WallTime += res.WallTime
-		if errors.Is(err, ErrDeadlock) {
-			// The probe deadlocked: not a sweep failure but the clearest
-			// possible saturation signal. DeadlockSuspected is set on the
-			// result, so stable() rejects the point.
+		sr.WallTime += agg.WallTime
+		if errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrCancelled) && !errors.Is(err, ErrAudit) {
+			// Only deadlocks among the replica failures: not a sweep failure
+			// but the clearest possible saturation signal. DeadlockSuspected
+			// is set on the aggregate, so stable() rejects the point.
 			err = nil
 		}
 		return res, err
