@@ -14,6 +14,30 @@ func solver8() *Solver {
 	return NewSolver(model.DefaultConfig(8))
 }
 
+// TestNonFiniteTimingRejected pins that NaN and infinite timing constants
+// fail validation and the solve, instead of scoring every placement NaN or
+// +Inf and returning one of them as the answer.
+func TestNonFiniteTimingRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*model.Params){
+			func(p *model.Params) { p.RouterDelay = v },
+			func(p *model.Params) { p.LinkDelay = v },
+			func(p *model.Params) { p.Contention = v },
+		} {
+			cfg := model.DefaultConfig(8)
+			set(&cfg.Params)
+			if cfg.Validate() == nil {
+				t.Errorf("Validate accepted %+v", cfg.Params)
+			}
+			s := NewSolver(cfg)
+			s.Sched = s.Sched.WithMoves(200)
+			if sol, err := s.SolveRow(context.Background(), 4, DCSA); err == nil {
+				t.Errorf("SolveRow with %+v returned L=%v and no error", cfg.Params, sol.Eval.Total)
+			}
+		}
+	}
+}
+
 func TestSolveRowDCSA(t *testing.T) {
 	s := solver8()
 	sol, err := s.SolveRow(context.Background(), 4, DCSA)

@@ -8,6 +8,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"explink/internal/route"
 )
@@ -39,9 +40,14 @@ func (p Params) Route() route.Params {
 	return route.Params{PerHop: p.RouterDelay + p.Contention, PerUnit: p.LinkDelay}
 }
 
+// validate rejects negative timing constants and non-finite ones: a NaN or
+// infinite cost would score every placement NaN or +Inf, and the search
+// would return one of them without an error.
 func (p Params) validate() error {
-	if p.RouterDelay < 0 || p.LinkDelay < 0 || p.Contention < 0 {
-		return fmt.Errorf("model: negative timing parameter: %+v", p)
+	for _, v := range []float64{p.RouterDelay, p.LinkDelay, p.Contention} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("model: timing parameters must be finite and non-negative: %+v", p)
+		}
 	}
 	return nil
 }

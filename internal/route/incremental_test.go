@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"testing"
 
 	"explink/internal/stats"
@@ -197,5 +198,40 @@ func TestIncrementalPanics(t *testing.T) {
 			inc.Reset(topo.MeshRow(8))
 			fn(inc)
 		}()
+	}
+}
+
+// TestExactCostsGate pins when Incremental sweeps one direction only: both
+// costs finite non-negative integers, with every sum over the n² pairs
+// below 2^53.
+func TestExactCostsGate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		p    Params
+		n    int
+		want bool
+	}{
+		{Params{PerHop: 3, PerUnit: 1}, 16, true},
+		{Params{PerHop: 4, PerUnit: 0}, 1024, true},
+		{Params{PerHop: 0, PerUnit: 0}, 1 << 20, true},
+		{Params{PerHop: 1 << 20, PerUnit: 1}, 1024, true},
+		{Params{PerHop: 1 << 24, PerUnit: 0}, 1024, false}, // 2^20·1023·2^24 > 2^53
+		{Params{PerHop: 3.37, PerUnit: 1}, 16, false},
+		{Params{PerHop: 3, PerUnit: 0.5}, 16, false},
+		{Params{PerHop: -1, PerUnit: 1}, 16, false},
+		{Params{PerHop: nan, PerUnit: 1}, 16, false},
+		{Params{PerHop: 3, PerUnit: inf}, 16, false},
+		{Params{PerHop: 3, PerUnit: 1e300}, 16, false},
+	} {
+		if got := exactCosts(tc.p, tc.n); got != tc.want {
+			t.Errorf("exactCosts(%+v, %d) = %v, want %v", tc.p, tc.n, got, tc.want)
+		}
+		inc := NewIncremental(tc.p)
+		if tc.n <= 16 {
+			inc.Reset(topo.MeshRow(tc.n))
+			if inc.mirror != tc.want {
+				t.Errorf("%+v n=%d: Reset set mirror %v, want %v", tc.p, tc.n, inc.mirror, tc.want)
+			}
+		}
 	}
 }
