@@ -13,9 +13,9 @@ import (
 // BenchmarkMinimize times a full default SA schedule (10^4 moves) on the
 // connection-matrix search space, the per-line unit of work behind
 // core.SolveRow and core.SolveWeighted. The "full" variant re-routes every
-// memo miss from scratch (the route.Scratch reference objective); the
-// numbers backing BENCH_solver.json compare it against the incremental path
-// at the same problem sizes.
+// memo miss from scratch (the route.Scratch reference objective) and
+// compares it against the incremental path at the same problem sizes;
+// perfbench's anneal.ns_per_miss measures the incremental path end to end.
 func BenchmarkMinimize(b *testing.B) {
 	for _, size := range []struct{ n, c int }{{8, 3}, {16, 4}, {32, 4}} {
 		p := model.DefaultParams()

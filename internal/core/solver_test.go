@@ -14,11 +14,12 @@ func solver8() *Solver {
 	return NewSolver(model.DefaultConfig(8))
 }
 
-// TestNonFiniteTimingRejected pins that NaN and infinite timing constants
-// fail validation and the solve, instead of scoring every placement NaN or
-// +Inf and returning one of them as the answer.
-func TestNonFiniteTimingRejected(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+// TestTimingPastExactBoundRejected pins that a timing constant too large for
+// the row sums to stay exact fails validation and the solve: at n = 8 every
+// pair sum must stay below 2^53, i.e. Tr+Tc+Tl < 2^53/448, and 2^45 is past
+// that for each constant alone.
+func TestTimingPastExactBoundRejected(t *testing.T) {
+	for _, v := range []int{1 << 45, math.MaxInt} {
 		for _, set := range []func(*model.Params){
 			func(p *model.Params) { p.RouterDelay = v },
 			func(p *model.Params) { p.LinkDelay = v },

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkSolveRow times the end-to-end P̃(n, C) solve (D&C initial solution
 // plus the full default SA schedule) that Optimize runs once per feasible link
-// limit — the solver-side hot path named by BENCH_solver.json. No placement
+// limit — the solver-side hot path perfbench's solve-cold drives. No placement
 // store is attached, so every iteration pays the real search.
 func BenchmarkSolveRow(b *testing.B) {
 	for _, size := range []struct{ n, c int }{{8, 3}, {16, 4}, {32, 4}} {

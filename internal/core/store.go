@@ -346,11 +346,11 @@ func (s *Solver) configKey(b []byte) []byte {
 	b = append(b, "\nn="...)
 	b = appendInt(b, s.Cfg.N)
 	b = append(b, "\nparams="...)
-	b = appendNum(b, s.Cfg.Params.RouterDelay)
+	b = appendNum(b, float64(s.Cfg.Params.RouterDelay))
 	b = append(b, ',')
-	b = appendNum(b, s.Cfg.Params.LinkDelay)
+	b = appendNum(b, float64(s.Cfg.Params.LinkDelay))
 	b = append(b, ',')
-	b = appendNum(b, s.Cfg.Params.Contention)
+	b = appendNum(b, float64(s.Cfg.Params.Contention))
 	b = append(b, "\nmix="...)
 	for i, c := range s.Cfg.Mix {
 		if i > 0 {

@@ -544,7 +544,7 @@ func fmtConfigKey(s *Solver, b *strings.Builder) {
 	b.WriteByte('\n')
 	fmt.Fprintf(b, "n=%d\n", s.Cfg.N)
 	fmt.Fprintf(b, "params=%s,%s,%s\n",
-		fmtNum(s.Cfg.Params.RouterDelay), fmtNum(s.Cfg.Params.LinkDelay), fmtNum(s.Cfg.Params.Contention))
+		fmtNum(float64(s.Cfg.Params.RouterDelay)), fmtNum(float64(s.Cfg.Params.LinkDelay)), fmtNum(float64(s.Cfg.Params.Contention)))
 	b.WriteString("mix=")
 	for i, c := range s.Cfg.Mix {
 		if i > 0 {
@@ -607,7 +607,7 @@ func fmtParetoKey(s *Solver, c int, spec ParetoSpec) string {
 
 // TestStoreKeysMatchFmtOracle compares the appended preimages with the fmt
 // oracle across solvers whose every key field is pushed to an edge: edited
-// params and mix, the largest seed, negative zero, tiny and huge floats, and
+// params (10⁶ prints as 1e+06, and ints past 2^53 round as float64s) and mix, the largest seed, negative zero, tiny and huge floats, and
 // several objective lists and power models.
 func TestStoreKeysMatchFmtOracle(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -616,7 +616,7 @@ func TestStoreKeysMatchFmtOracle(t *testing.T) {
 		"quick16": func() *Solver { return quickSolver(16) },
 		"params": func() *Solver {
 			s := NewSolver(model.DefaultConfig(8))
-			s.Cfg.Params = model.Params{RouterDelay: 2.5, LinkDelay: 1.0 / 3, Contention: 1e-9}
+			s.Cfg.Params = model.Params{RouterDelay: 1_000_000, LinkDelay: 1<<53 + 1, Contention: 7}
 			return s
 		},
 		"mix": func() *Solver {
@@ -634,7 +634,7 @@ func TestStoreKeysMatchFmtOracle(t *testing.T) {
 			s.WorstWeight = negZero
 			s.Cfg.Mix = nil
 			s.Cfg.BW = model.Bandwidth{BaseWidth: math.MaxInt, MaxWidth: math.MinInt, MinWidth: 0}
-			s.Cfg.Params.Contention = 5e-324
+			s.Cfg.Params.Contention = math.MaxInt
 			s.Sched.T0 = 1e21
 			s.Sched.Moves = math.MaxInt
 			s.Sched.CoolDiv = 1e-7

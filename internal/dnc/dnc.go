@@ -76,10 +76,10 @@ func (g *generator) solve(n, c int) Result {
 // C-1 and pick the best single crossing express link. Every candidate is the
 // base placement plus exactly one span, so the O(n²) scan runs on the
 // incremental evaluator: one full re-route for the base, then per candidate
-// only the sources whose paths can cross the added span. Update (not Flip) is
-// used because a crossing candidate (i, h) can duplicate a left-half span
-// ending at the cut; Row semantics keep the multiset, and a duplicate span
-// changes no distance, matching the full evaluation of base.Add bit for bit.
+// only the sources whose paths can cross the added span. Update adds the span
+// even when a crossing candidate (i, h) duplicates a left-half span ending at
+// the cut; Row semantics keep the multiset, and a duplicate span changes no
+// distance, matching the full evaluation of base.Add bit for bit.
 func (g *generator) combine(n, c int) Result {
 	h := n / 2
 	left := g.solve(h, c-1)

@@ -33,7 +33,7 @@ func (cfg Config) Validate() error {
 	if cfg.N < 2 {
 		return fmt.Errorf("model: network size %d too small", cfg.N)
 	}
-	if err := cfg.Params.validate(); err != nil {
+	if err := cfg.Params.validate(cfg.N); err != nil {
 		return err
 	}
 	return ValidateMix(cfg.Mix)

@@ -8,29 +8,27 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"explink/internal/route"
 )
 
-// Params are the timing constants of Eq. (1).
+// Params are the timing constants of Eq. (1), in whole cycles.
 type Params struct {
 	// RouterDelay is Tr: cycles a flit spends in the router pipeline per hop.
 	// The paper assumes a canonical 3-stage router.
-	RouterDelay float64
+	RouterDelay int
 	// LinkDelay is Tl: cycles per unit of link length. Express links are
 	// segmented into unit-length repeatered wires, so a span of length d
 	// costs d·Tl.
-	LinkDelay float64
+	LinkDelay int
 	// Contention is Tc: the average per-hop contention delay. It is near
-	// zero at the low loads of general-purpose CMPs (Section 2.2); the
-	// simulator measures the loaded value.
-	Contention float64
+	// zero at the low loads of general-purpose CMPs (Section 2.2).
+	Contention int
 }
 
 // DefaultParams returns the constants used throughout the evaluation:
 // a 3-stage router (Tr = 3), unit link delay (Tl = 1) and zero modeled
-// contention (Tc = 0); loaded experiments get Tc from the simulator.
+// contention (Tc = 0).
 func DefaultParams() Params {
 	return Params{RouterDelay: 3, LinkDelay: 1, Contention: 0}
 }
@@ -40,14 +38,11 @@ func (p Params) Route() route.Params {
 	return route.Params{PerHop: p.RouterDelay + p.Contention, PerUnit: p.LinkDelay}
 }
 
-// validate rejects negative timing constants and non-finite ones: a NaN or
-// infinite cost would score every placement NaN or +Inf, and the search
-// would return one of them without an error.
-func (p Params) validate() error {
-	for _, v := range []float64{p.RouterDelay, p.LinkDelay, p.Contention} {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return fmt.Errorf("model: timing parameters must be finite and non-negative: %+v", p)
-		}
+// validate rejects negative timing constants and ones too large for rows of
+// n routers to be scored exactly (route.Params.Check).
+func (p Params) validate(n int) error {
+	if p.RouterDelay < 0 || p.LinkDelay < 0 || p.Contention < 0 {
+		return fmt.Errorf("model: timing parameters must be non-negative: %+v", p)
 	}
-	return nil
+	return p.Route().Check(n)
 }

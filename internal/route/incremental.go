@@ -2,7 +2,6 @@ package route
 
 import (
 	"fmt"
-	"math"
 
 	"explink/internal/topo"
 )
@@ -11,27 +10,24 @@ import (
 // simulated-annealing connection-matrix walk, the divide-and-conquer
 // cross-link scan and the branch-and-bound tree all step between placements
 // that differ by a handful of spans. Instead of re-routing all n sources per
-// candidate the way Scratch.MeanMax does, an Incremental keeps the full
-// directional distance matrix of the current row and, on each move,
-// recomputes only the sources whose shortest paths can cross a changed span
-// — resuming each directional sweep at the changed region and stopping early
-// once the recomputed distances reconverge with the stored ones.
+// candidate the way Scratch.MeanMax does, an Incremental keeps the distance
+// matrix of the current row and, on each move, recomputes only the sources
+// whose shortest paths can cross a changed span — resuming each sweep at the
+// changed region and stopping early once the recomputed distances reconverge
+// with the stored ones.
 //
 // Every value it returns is bit-identical to the corresponding Scratch
 // evaluation of the same row (Scratch.MeanMax, Scratch.MeanDist,
-// Scratch.WeightedMean): directional shortest distances are unique values
-// independent of edge-relaxation order, and the final reductions accumulate
-// the stored matrix in exactly Scratch's fixed (source-major, destination
-// index) pair order. When both edge costs are small integers every distance
-// and every sum is exact, so the leftward half is read off the rightward one
-// and the uniform mean comes from a running sum; the values stay the same.
-// Searches driven by an Incremental therefore follow bit-for-bit the same
-// trajectory as ones paying a full evaluation per move.
+// Scratch.WeightedMean). Params.Check bounds the costs so that every
+// distance and every sum is an exact integer: the leftward i->j distance is
+// the rightward j->i one, so only the upper triangle is swept and stored,
+// and the uniform mean comes from a running sum whose value no addition
+// order can change. Searches driven by an Incremental therefore follow
+// bit-for-bit the same trajectory as ones paying a full evaluation per move.
 //
 // Dirty-region invariant (see DESIGN.md §10): a span (a,b) is traversed
 // rightward only by sources i <= a and can only alter their distances at
-// destinations v >= b; leftward only by sources i >= b at destinations
-// v <= a. Pending changed spans are therefore summarized per direction by
+// destinations v >= b. Pending changed spans are therefore summarized by
 // three integers — the affected-source bound, the sweep resume position and
 // the reconvergence barrier — and a sync recomputes just those row segments.
 //
@@ -46,26 +42,18 @@ type Incremental struct {
 	exRight [][]int
 	exLeft  [][]int
 	cost    []float64 // cost[d] = p.EdgeCost(d), precomputed per unit length
-	dist    []float64 // n x n row-major: dist[i*n+j] = directional shortest i->j
-
-	// mirror is set by Reset when every distance and every sum of distances
-	// is an exact integer (see exactCosts). The leftward i->j path is then the
-	// rightward j->i path traversed backwards with the same exact cost, so
-	// only the upper triangle is swept and dist[j*n+i] stands for the lower
-	// one. upper is the running sum of the upper triangle, exact under mirror
-	// and read only then.
-	mirror bool
-	upper  float64
+	// dist is n x n row-major; only the upper triangle is kept:
+	// dist[i*n+j] for j > i is the shortest i->j distance, which is also the
+	// leftward j->i one. upper is its exact running sum.
+	dist  []float64
+	upper float64
 
 	// Pending dirty region accumulated since the last sync. While dirty,
 	// dist rows are stale only inside the region the aggregates describe.
 	dirty   bool
-	rSrcMax int // rightward: sources 0..rSrcMax may be affected (max From)
-	rFrom   int // rightward sweep resume position (min To)
-	rTo     int // rightward reconvergence barrier (max To)
-	lSrcMin int // leftward: sources lSrcMin..n-1 may be affected (min To)
-	lFrom   int // leftward sweep resume position (max From)
-	lTo     int // leftward reconvergence barrier (min From)
+	rSrcMax int // sources 0..rSrcMax may be affected (max From)
+	rFrom   int // sweep resume position (min To)
+	rTo     int // reconvergence barrier (max To)
 
 	// Undo log: a flat edit buffer plus per-open-move edit counts. Moves are
 	// closed strictly LIFO by Revert (undo) or Commit (keep).
@@ -90,9 +78,13 @@ func (inc *Incremental) Params() Params { return inc.p }
 func (inc *Incremental) N() int { return inc.n }
 
 // Reset adopts the row as the new current state: it rebuilds the adjacency,
-// recomputes the full distance matrix and discards any open moves.
+// recomputes the full distance matrix and discards any open moves. It panics
+// if the edge-cost model fails Params.Check for the row.
 func (inc *Incremental) Reset(row topo.Row) {
 	n := row.N
+	if err := inc.p.Check(n); err != nil {
+		panic(err)
+	}
 	inc.n = n
 	if len(inc.exRight) < n {
 		inc.exRight = append(inc.exRight, make([][]int, n-len(inc.exRight))...)
@@ -115,22 +107,16 @@ func (inc *Incremental) Reset(row topo.Row) {
 	if len(inc.dist) < n*n {
 		inc.dist = make([]float64, n*n)
 	}
-	inc.mirror = exactCosts(inc.p, n)
 	for i := 0; i < n; i++ {
 		inc.dist[i*n+i] = 0
 		inc.sweepRight(i, i+1, n)
-		if !inc.mirror {
-			inc.sweepLeft(i, i-1, -1)
-		}
 	}
-	if inc.mirror {
-		// The sweeps only patch entries that differ from the previous row's,
-		// so the running sum is rebuilt here rather than tracked through them.
-		inc.upper = 0
-		for i := 0; i < n; i++ {
-			for _, d := range inc.dist[i*n+i+1 : i*n+n] {
-				inc.upper += d
-			}
+	// The sweeps only patch entries that differ from the previous row's, so
+	// the running sum is rebuilt here rather than tracked through them.
+	inc.upper = 0
+	for i := 0; i < n; i++ {
+		for _, d := range inc.dist[i*n+i+1 : i*n+n] {
+			inc.upper += d
 		}
 	}
 	inc.dirty = false
@@ -138,23 +124,11 @@ func (inc *Incremental) Reset(row topo.Row) {
 	inc.moveLen = inc.moveLen[:0]
 }
 
-// Flip opens a move that toggles the presence of each span in order: a span
-// currently in the row is removed (one instance, if it appears several
-// times), an absent one is added. Use Update when a move may add a span that
-// is already present. The move stays open until Revert undoes it or Commit
-// keeps it; open moves close strictly last-in-first-out.
-func (inc *Incremental) Flip(spans ...topo.Span) {
-	start := len(inc.edits)
-	for _, s := range spans {
-		inc.edits = append(inc.edits, incEdit{s: s, added: inc.toggle(s)})
-	}
-	inc.moveLen = append(inc.moveLen, len(inc.edits)-start)
-}
-
 // Update opens a move that removes each span in removed (which must be
 // present, counting multiplicity) and then adds each span in added
-// (duplicates allowed, matching how connection matrices decode). Like Flip
-// it is closed by Revert or Commit.
+// (duplicates allowed, matching how connection matrices decode). The move
+// stays open until Revert undoes it or Commit keeps it; open moves close
+// strictly last-in-first-out.
 func (inc *Incremental) Update(removed, added []topo.Span) {
 	start := len(inc.edits)
 	for _, s := range removed {
@@ -190,24 +164,11 @@ func (inc *Incremental) Commit() {
 
 func (inc *Incremental) popMove(op string) []incEdit {
 	if len(inc.moveLen) == 0 {
-		panic("route: Incremental." + op + " without a matching Flip/Update")
+		panic("route: Incremental." + op + " without a matching Update")
 	}
 	count := inc.moveLen[len(inc.moveLen)-1]
 	inc.moveLen = inc.moveLen[:len(inc.moveLen)-1]
 	return inc.edits[len(inc.edits)-count:]
-}
-
-// toggle flips the presence of s and reports whether it was added.
-func (inc *Incremental) toggle(s topo.Span) bool {
-	inc.check(s)
-	for _, u := range inc.exRight[s.To] {
-		if u == s.From {
-			inc.remove(s)
-			return false
-		}
-	}
-	inc.add(s)
-	return true
 }
 
 func (inc *Incremental) add(s topo.Span) {
@@ -252,15 +213,11 @@ func (inc *Incremental) markDirty(s topo.Span) {
 	if !inc.dirty {
 		inc.dirty = true
 		inc.rSrcMax, inc.rFrom, inc.rTo = s.From, s.To, s.To
-		inc.lSrcMin, inc.lFrom, inc.lTo = s.To, s.From, s.From
 		return
 	}
 	inc.rSrcMax = max(inc.rSrcMax, s.From)
 	inc.rFrom = min(inc.rFrom, s.To)
 	inc.rTo = max(inc.rTo, s.To)
-	inc.lSrcMin = min(inc.lSrcMin, s.To)
-	inc.lFrom = max(inc.lFrom, s.From)
-	inc.lTo = min(inc.lTo, s.From)
 }
 
 // sync brings every stale distance row segment up to date with the adjacency.
@@ -271,30 +228,7 @@ func (inc *Incremental) sync() {
 	for i := 0; i <= inc.rSrcMax; i++ {
 		inc.sweepRight(i, inc.rFrom, inc.rTo)
 	}
-	// Non-integer costs, which model.Params accepts, still sweep leftward;
-	// FuzzIncrementalVsScratch is the workload that reaches this branch.
-	if !inc.mirror {
-		for i := max(inc.lSrcMin, 1); i < inc.n; i++ {
-			inc.sweepLeft(i, inc.lFrom, inc.lTo)
-		}
-	}
 	inc.dirty = false
-}
-
-// exactCosts reports whether a row of n routers under p can be evaluated by
-// mirroring: both costs finite, non-negative integers, and n²·(n−1)·(PerHop+
-// PerUnit) below 2^53. Every distance is at most the all-local path's
-// (n−1)·(PerHop+PerUnit), so under that bound every distance, every edge
-// cost and every partial sum over the n² pairs is an integer float64
-// represents exactly — addition order no longer matters, and the directional
-// matrix is exactly symmetric.
-func exactCosts(p Params, n int) bool {
-	isInt := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) && x == math.Trunc(x) }
-	if !isInt(p.PerHop) || !isInt(p.PerUnit) {
-		return false
-	}
-	fn := float64(n)
-	return fn*fn*max(fn-1, 0)*(p.PerHop+p.PerUnit) < 1<<53
 }
 
 // sweepRight recomputes source i's rightward distances from position `from`
@@ -347,121 +281,50 @@ func (inc *Incremental) sweepRight(i, from, barrier int) {
 	}
 }
 
-// sweepLeft is sweepRight mirrored: it recomputes source i's leftward
-// distances from `from` down to 0, stopping once past `barrier` (the leftmost
-// changed-span endpoint) with no divergence from the stored values.
-func (inc *Incremental) sweepLeft(i, from, barrier int) {
-	row := inc.dist[i*inc.n : i*inc.n+inc.n]
-	cost := inc.cost
-	// Mirrored reconvergence frontier: exRight[v] lists v's outgoing leftward
-	// spans (each span (u, v) is traversed leftward from v down to u).
-	stop := barrier
-	for v := min(from, i-1); v >= 0; v-- {
-		best := row[v+1] + cost[1]
-		for _, u := range inc.exLeft[v] {
-			if u > i {
-				continue
-			}
-			if c := row[u] + cost[u-v]; c < best {
-				best = c
-			}
-		}
-		if best != row[v] {
-			row[v] = best
-			if v-1 < stop {
-				stop = v - 1
-			}
-			for _, w := range inc.exRight[v] {
-				if w < stop {
-					stop = w
-				}
-			}
-		}
-		if v <= stop {
-			return
-		}
-	}
-}
-
 // MeanMax returns the mean and maximum directional pair distance of the
-// current state, bit-identical to Scratch.MeanMax on the equivalent row. The
-// general path accumulates the stored matrix in Scratch's source-major pair
-// order; under mirror the mean comes from the exact running sum (see Mean)
-// and the maximum from the upper triangle, which holds every value.
+// current state, bit-identical to Scratch.MeanMax on the equivalent row: the
+// mean as Mean computes it, the maximum from the upper triangle, which holds
+// every value.
 func (inc *Incremental) MeanMax() (mean, maxDist float64) {
 	inc.sync()
 	n := inc.n
-	if inc.mirror {
-		for i := 0; i < n; i++ {
-			for _, d := range inc.dist[i*n+i+1 : i*n+n] {
-				maxDist = max(maxDist, d)
-			}
-		}
-		return inc.mirrorMean(), maxDist
-	}
-	var sum float64
 	for i := 0; i < n; i++ {
-		row := inc.dist[i*n : i*n+n]
-		for j := 0; j < i; j++ {
-			sum += row[j]
-			if row[j] > maxDist {
-				maxDist = row[j]
-			}
-		}
-		for j := i + 1; j < n; j++ {
-			sum += row[j]
-			if row[j] > maxDist {
-				maxDist = row[j]
-			}
+		for _, d := range inc.dist[i*n+i+1 : i*n+n] {
+			maxDist = max(maxDist, d)
 		}
 	}
-	return sum / float64(n*n), maxDist
+	return inc.mean(), maxDist
 }
 
 // Mean returns the mean directional pair distance of the current state,
 // bit-identical to Scratch.MeanDist on the equivalent row.
 func (inc *Incremental) Mean() float64 {
 	inc.sync()
-	if inc.mirror {
-		return inc.mirrorMean()
-	}
-	n := inc.n
-	var sum float64
-	for i := 0; i < n; i++ {
-		row := inc.dist[i*n : i*n+n]
-		for j := 0; j < i; j++ {
-			sum += row[j]
-		}
-		for j := i + 1; j < n; j++ {
-			sum += row[j]
-		}
-	}
-	return sum / float64(n*n)
+	return inc.mean()
 }
 
-// mirrorMean is the O(1) mean under mirror: Scratch's ordered sum of the n²
-// exact integers equals their true sum, which is twice the upper triangle,
-// so dividing the same float64 by the same n² gives the same bits.
-func (inc *Incremental) mirrorMean() float64 {
+// mean is O(1): Scratch's ordered sum of the n² exact integers equals their
+// true sum, which is twice the upper triangle, so dividing the same float64
+// by the same n² gives the same bits.
+func (inc *Incremental) mean() float64 {
 	return 2 * inc.upper / float64(inc.n*inc.n)
 }
 
 // WeightedMean returns the w-weighted mean pair distance of the current
 // state with Scratch.WeightedMean's exact accumulation order and nil/all-zero
-// fallback contract. Under mirror the lower triangle is read transposed, in
-// the same order, so the sums see the same values.
+// fallback contract. The lower triangle is read transposed, in the same
+// order, so the sums see the same values.
 func (inc *Incremental) WeightedMean(w [][]float64) float64 {
 	inc.sync()
 	n := inc.n
 	var sum, num, den float64
 	for i := 0; i < n; i++ {
-		row := inc.dist[i*n : i*n+n]
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			d := row[j]
-			if j < i && inc.mirror {
+			d := inc.dist[i*n+j]
+			if j < i {
 				d = inc.dist[j*n+i]
 			}
 			sum += d

@@ -7,12 +7,11 @@ import (
 )
 
 // fuzzParams are the edge-cost models FuzzIncrementalVsScratch picks from.
-// The first three have integer costs, so Incremental mirrors the rightward
-// half and keeps an exact running sum; the last three do not, and keep both
-// sweeps and Scratch's ordered reduction.
+// The list keeps six entries so every checked-in corpus entry selects the
+// model its file name records.
 var fuzzParams = []Params{
 	{PerHop: 3, PerUnit: 1}, {PerHop: 4, PerUnit: 0}, {PerHop: 0, PerUnit: 1},
-	{PerHop: 3.37, PerUnit: 1}, {PerHop: 3.1, PerUnit: 0.7}, {PerHop: 2.9, PerUnit: 1.3},
+	{PerHop: 5, PerUnit: 2}, {PerHop: 1, PerUnit: 3}, {PerHop: 7, PerUnit: 1},
 }
 
 // FuzzIncrementalVsScratch drives an Incremental through the exact move

@@ -71,15 +71,14 @@ func TestIncrementalFlipRevertCommitMatchesScratch(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			sp := topo.Span{From: rng.Intn(n - 2), To: 0}
 			sp.To = sp.From + 2 + rng.Intn(n-sp.From-2)
-			inc.Flip(sp)
-			// Flip toggles presence: a span already in the shadow row is
+			// Each step toggles presence: a span already in the shadow row is
 			// removed, an absent one is added.
-			var cand []topo.Span
-			if present(shadow.Express, sp) {
-				cand = applyEdit(shadow.Express, []topo.Span{sp}, nil)
-			} else {
-				cand = applyEdit(shadow.Express, nil, []topo.Span{sp})
+			removed, added := []topo.Span{sp}, []topo.Span(nil)
+			if !present(shadow.Express, sp) {
+				removed, added = added, removed
 			}
+			inc.Update(removed, added)
+			cand := applyEdit(shadow.Express, removed, added)
 			candRow := topo.Row{N: n, Express: cand}
 			wantMean, wantMax := s.MeanMax(candRow, testParams)
 			gotMean, gotMax := inc.MeanMax()
@@ -186,7 +185,7 @@ func TestIncrementalPanics(t *testing.T) {
 		"revert without move": func(inc *Incremental) { inc.Revert() },
 		"commit without move": func(inc *Incremental) { inc.Commit() },
 		"remove absent span":  func(inc *Incremental) { inc.Update([]topo.Span{{From: 0, To: 5}}, nil) },
-		"invalid span":        func(inc *Incremental) { inc.Flip(topo.Span{From: 3, To: 2}) },
+		"invalid span":        func(inc *Incremental) { inc.Update(nil, []topo.Span{{From: 3, To: 2}}) },
 	} {
 		func() {
 			defer func() {
@@ -201,37 +200,42 @@ func TestIncrementalPanics(t *testing.T) {
 	}
 }
 
-// TestExactCostsGate pins when Incremental sweeps one direction only: both
-// costs finite non-negative integers, with every sum over the n² pairs
-// below 2^53.
-func TestExactCostsGate(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
+// TestParamsCheckBound pins which cost models Incremental accepts: both
+// costs non-negative, with n²·(n−1)·(PerHop+PerUnit) below 2^53 so every
+// sum over the n² pairs is exact. Reset panics on the rest.
+func TestParamsCheckBound(t *testing.T) {
 	for _, tc := range []struct {
-		p    Params
-		n    int
-		want bool
+		p  Params
+		n  int
+		ok bool
 	}{
 		{Params{PerHop: 3, PerUnit: 1}, 16, true},
 		{Params{PerHop: 4, PerUnit: 0}, 1024, true},
 		{Params{PerHop: 0, PerUnit: 0}, 1 << 20, true},
+		{Params{PerHop: 3, PerUnit: 1}, 1, true},
 		{Params{PerHop: 1 << 20, PerUnit: 1}, 1024, true},
 		{Params{PerHop: 1 << 24, PerUnit: 0}, 1024, false}, // 2^20·1023·2^24 > 2^53
-		{Params{PerHop: 3.37, PerUnit: 1}, 16, false},
-		{Params{PerHop: 3, PerUnit: 0.5}, 16, false},
+		{Params{PerHop: 1<<51 - 1, PerUnit: 0}, 2, true},   // 4·(2^51−1) < 2^53
+		{Params{PerHop: 1<<51 - 1, PerUnit: 1}, 2, false},  // 4·2^51 = 2^53
+		{Params{PerHop: 0, PerUnit: 1 << 51}, 2, false},
+		{Params{PerHop: math.MaxInt, PerUnit: math.MaxInt}, 2, false},
 		{Params{PerHop: -1, PerUnit: 1}, 16, false},
-		{Params{PerHop: nan, PerUnit: 1}, 16, false},
-		{Params{PerHop: 3, PerUnit: inf}, 16, false},
-		{Params{PerHop: 3, PerUnit: 1e300}, 16, false},
+		{Params{PerHop: 3, PerUnit: -1}, 16, false},
 	} {
-		if got := exactCosts(tc.p, tc.n); got != tc.want {
-			t.Errorf("exactCosts(%+v, %d) = %v, want %v", tc.p, tc.n, got, tc.want)
+		err := tc.p.Check(tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("Check(%+v, %d) = %v, want ok %v", tc.p, tc.n, err, tc.ok)
 		}
-		inc := NewIncremental(tc.p)
-		if tc.n <= 16 {
-			inc.Reset(topo.MeshRow(tc.n))
-			if inc.mirror != tc.want {
-				t.Errorf("%+v n=%d: Reset set mirror %v, want %v", tc.p, tc.n, inc.mirror, tc.want)
-			}
+		if tc.n > 16 {
+			continue
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewIncremental(tc.p).Reset(topo.MeshRow(tc.n))
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("%+v n=%d: Reset panicked %v, want %v", tc.p, tc.n, panicked, !tc.ok)
 		}
 	}
 }

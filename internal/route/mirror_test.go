@@ -54,19 +54,11 @@ func asymmetricPairs(rows []topo.Row, p Params) (pairs, asym int) {
 // on length, so the leftward i->j path is the rightward j->i path backwards.
 // With integer costs the two distances are the same exact integer, so the
 // Floyd-Warshall pass per direction of §4.5.1 computes one matrix twice.
-// With non-integer costs the two sums round differently, which is why
-// Incremental keeps both sweeps for them.
 func TestMirrorSymmetryIntegerCosts(t *testing.T) {
 	rows := mirrorRows()
 	for _, p := range []Params{{PerHop: 3, PerUnit: 1}, {PerHop: 4, PerUnit: 0}, {PerHop: 0, PerUnit: 1}} {
 		if pairs, asym := asymmetricPairs(rows, p); asym != 0 {
 			t.Errorf("%+v: %d of %d pairs asymmetric, want 0", p, asym, pairs)
 		}
-	}
-	p := Params{PerHop: 3.37, PerUnit: 1}
-	pairs, asym := asymmetricPairs(rows, p)
-	t.Logf("%+v: %d of %d pairs asymmetric over %d rows", p, asym, pairs, len(rows))
-	if asym == 0 {
-		t.Errorf("%+v: every pair symmetric; non-integer costs no longer show why mirroring is gated", p)
 	}
 }

@@ -36,7 +36,7 @@ func TestMeshRowDistances(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			d := math.Abs(float64(i - j))
-			want := d * (testParams.PerHop + testParams.PerUnit)
+			want := d * float64(testParams.PerHop+testParams.PerUnit)
 			if rp.Dist[i][j] != want {
 				t.Fatalf("mesh dist(%d,%d) = %g, want %g", i, j, rp.Dist[i][j], want)
 			}
@@ -60,7 +60,7 @@ func TestFlatButterflyRowDistances(t *testing.T) {
 				continue
 			}
 			d := math.Abs(float64(i - j))
-			want := testParams.PerHop + d*testParams.PerUnit
+			want := float64(testParams.PerHop) + d*float64(testParams.PerUnit)
 			if rp.Dist[i][j] != want {
 				t.Fatalf("FB dist(%d,%d) = %g, want %g", i, j, rp.Dist[i][j], want)
 			}
@@ -163,7 +163,7 @@ func TestDPAgreesWithFloydWarshall(t *testing.T) {
 }
 
 func TestDPAgreesWithFWOtherParams(t *testing.T) {
-	p := Params{PerHop: 1.5, PerUnit: 0.5}
+	p := Params{PerHop: 5, PerUnit: 2}
 	rng := stats.NewRNG(77)
 	for trial := 0; trial < 50; trial++ {
 		row := randomRow(rng, 10, 4)

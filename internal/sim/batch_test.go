@@ -212,7 +212,8 @@ func runPool8(ctx context.Context, cfg Config) (Agg, error) {
 
 // BenchmarkRunManyAggBatch8 and BenchmarkRunManyAggPool8 compare the batched
 // replica engine against the per-run worker pool at R=8 on the reference
-// operating point; agg-cycles/sec is the headline metric of BENCH_sim.json.
+// operating point by agg-cycles/sec; perfbench's sim.ns_per_cycle.* and
+// sim.batch_ms measure the same engine end to end.
 func BenchmarkRunManyAggBatch8(b *testing.B) { benchReplicas(b, runBatch8) }
 
 func BenchmarkRunManyAggPool8(b *testing.B) { benchReplicas(b, runPool8) }

@@ -19,9 +19,9 @@ type linkRec struct {
 }
 
 // netShared is everything about a built network that does not depend on the
-// seed: the link enumeration, routing tables, ideal-latency matrices, packet
-// mix tables, buffer sizing and phase boundaries. It is immutable once built
-// and safe for concurrent reads, so one netShared can instantiate any number
+// seed: the link enumeration, routing tables, packet mix tables, buffer
+// sizing and phase boundaries. It is immutable once built and safe for
+// concurrent reads, so one netShared can instantiate any number
 // of replica Simulators — differing only by Config.Seed — that share it (the
 // structure-of-arrays split behind sim.Batch: shared immutable columns here,
 // per-replica mutable state in each Simulator's own arenas).
@@ -44,8 +44,6 @@ type netShared struct {
 	rowOutTab         [][]int32 // rowOutTab[id][col] = out port to row neighbor, -1 none
 	colOutTab         [][]int32
 	routeXY, routeYX  []int32 // flattened dst->outPort tables, nil over the size cutoff
-	idealHead         [][]float64
-	idealHeadYX       [][]float64 // only populated under O1TURN routing
 	mixCum            []float64
 	mixFlits          []int
 	warmEnd, measEnd  int64
@@ -71,7 +69,7 @@ func newShared(cfg Config) (*netShared, error) {
 
 	// Zero-contention routing parameters: the tables must match the analytic
 	// model's paths.
-	rp := route.Params{PerHop: float64(cfg.RouterStages), PerUnit: 1}
+	rp := route.Params{PerHop: cfg.RouterStages, PerUnit: 1}
 	sh.rowPaths = make([]*route.RowPaths, h)
 	sh.colPaths = make([]*route.RowPaths, w)
 	rows := make([]rowLinks, h)
@@ -157,14 +155,15 @@ func newShared(cfg Config) (*netShared, error) {
 			sh.routeYX = make([]int32, routers*sh.nodes)
 		}
 		for id := 0; id < routers; id++ {
+			r := sh.routing(id)
 			xy := sh.routeXY[id*sh.nodes : (id+1)*sh.nodes]
 			for dst := range xy {
-				xy[dst] = sh.routeOf(id, dst, false)
+				xy[dst] = r.routeFlit(dst, w, k, false)
 			}
 			if sh.routeYX != nil {
 				yx := sh.routeYX[id*sh.nodes : (id+1)*sh.nodes]
 				for dst := range yx {
-					yx[dst] = sh.routeOf(id, dst, true)
+					yx[dst] = r.routeFlit(dst, w, k, true)
 				}
 			}
 		}
@@ -182,58 +181,19 @@ func newShared(cfg Config) (*netShared, error) {
 	sh.warmEnd = int64(cfg.Warmup)
 	sh.measEnd = int64(cfg.Warmup + cfg.Measure)
 	sh.hardEnd = sh.measEnd + int64(cfg.Drain)
-
-	// Ideal pairwise head latencies for the contention metric (XY order, and
-	// the YX mirror when O1TURN is enabled).
-	p := model.Params{RouterDelay: float64(cfg.RouterStages), LinkDelay: 1, Contention: 0}
-	tp := model.ComputeTopoPaths(t, p)
-	cores := sh.nodes
-	sh.idealHead = make([][]float64, cores)
-	for src := 0; src < cores; src++ {
-		sh.idealHead[src] = make([]float64, cores)
-		for dst := 0; dst < cores; dst++ {
-			sh.idealHead[src][dst] = tp.PairHead(src/k, dst/k)
-		}
-	}
-	if cfg.Routing == RoutingO1Turn {
-		sh.idealHeadYX = make([][]float64, cores)
-		for src := 0; src < cores; src++ {
-			sh.idealHeadYX[src] = make([]float64, cores)
-			sr := src / k
-			sx, sy := sr%w, sr/w
-			for dst := 0; dst < cores; dst++ {
-				dr := dst / k
-				dx, dy := dr%w, dr/w
-				sh.idealHeadYX[src][dst] = sh.colPaths[sx].Dist[sy][dy] + sh.rowPaths[dy].Dist[sx][dx]
-			}
-		}
-	}
 	return sh, nil
 }
 
-// routeOf mirrors router.routeFlit over the shared tables, so the flattened
-// route tables can be baked once per network instead of once per replica.
-func (sh *netShared) routeOf(id, dst int, yx bool) int32 {
-	w, k := sh.w, sh.k
-	x, y := id%w, id/w
-	dr := dst / k
-	dx, dy := dr%w, dr/w
-	if yx {
-		if dy != y {
-			return sh.colOutTab[id][sh.colPaths[x].Next[y][dy]]
-		}
-		if dx != x {
-			return sh.rowOutTab[id][sh.rowPaths[y].Next[x][dx]]
-		}
-		return int32(dst % k)
+// routing returns router id with only its position and its two-table
+// routing state (Fig. 3b) set.
+func (sh *netShared) routing(id int) router {
+	return router{
+		id: id, x: id % sh.w, y: id / sh.w,
+		rowNext: sh.rowPaths[id/sh.w].Next,
+		colNext: sh.colPaths[id%sh.w].Next,
+		rowOut:  sh.rowOutTab[id],
+		colOut:  sh.colOutTab[id],
 	}
-	if dx != x {
-		return sh.rowOutTab[id][sh.rowPaths[y].Next[x][dx]]
-	}
-	if dy != y {
-		return sh.colOutTab[id][sh.colPaths[x].Next[y][dy]]
-	}
-	return int32(dst % k)
 }
 
 // instantiate builds one runnable replica over the shared network
@@ -241,7 +201,7 @@ func (sh *netShared) routeOf(id, dst int, yx bool) int32 {
 // ports, channels, VC states, flit buffers, credit counters, NIs — is carved
 // out of fresh contiguous backing arrays (one per kind, replica-major), so a
 // replica stepping touches only its own few hot cache lines; everything
-// seed-independent (routing tables, ideal-latency matrices, mix tables) is
+// seed-independent (routing tables, shortest paths, mix tables) is
 // referenced from the shared side. The wiring order matches the original
 // single-run construction exactly, so instantiate(cfg.Seed) is bit-identical
 // to the pre-split New.
@@ -249,20 +209,20 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	cfg := sh.cfg
 	cfg.Seed = seed
 	s := &Simulator{
-		cfg:         cfg,
-		col:         newCollector(),
-		rng:         stats.NewRNG(seed),
-		w:           sh.w,
-		h:           sh.h,
-		k:           sh.k,
-		nodes:       sh.nodes,
-		idealHead:   sh.idealHead,
-		idealHeadYX: sh.idealHeadYX,
-		mixCum:      sh.mixCum,
-		mixFlits:    sh.mixFlits,
-		warmEnd:     sh.warmEnd,
-		measEnd:     sh.measEnd,
-		hardEnd:     sh.hardEnd,
+		cfg:      cfg,
+		col:      newCollector(),
+		rng:      stats.NewRNG(seed),
+		w:        sh.w,
+		h:        sh.h,
+		k:        sh.k,
+		nodes:    sh.nodes,
+		rowPaths: sh.rowPaths,
+		colPaths: sh.colPaths,
+		mixCum:   sh.mixCum,
+		mixFlits: sh.mixFlits,
+		warmEnd:  sh.warmEnd,
+		measEnd:  sh.measEnd,
+		hardEnd:  sh.hardEnd,
 	}
 	routers, vcs, k := sh.routers, cfg.VCs, sh.k
 	routerStore := make([]router, routers)
@@ -282,15 +242,9 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	outOff, inOff := 0, 0
 	for id := 0; id < routers; id++ {
 		r := &routerStore[id]
-		*r = router{
-			id: id, x: id % sh.w, y: id / sh.w,
-			rowNext: sh.rowPaths[id/sh.w].Next,
-			colNext: sh.colPaths[id%sh.w].Next,
-			rowOut:  sh.rowOutTab[id],
-			colOut:  sh.colOutTab[id],
-			out:     outStore[outOff : outOff+sh.outCount[id] : outOff+sh.outCount[id]],
-			in:      inStore[inOff : inOff+sh.inCount[id] : inOff+sh.inCount[id]],
-		}
+		*r = sh.routing(id)
+		r.out = outStore[outOff : outOff+sh.outCount[id] : outOff+sh.outCount[id]]
+		r.in = inStore[inOff : inOff+sh.inCount[id] : inOff+sh.inCount[id]]
 		outOff += sh.outCount[id]
 		inOff += sh.inCount[id]
 		if sh.routeXY != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"explink/internal/model"
@@ -48,6 +49,37 @@ func TestO1TurnZeroLoadPairLatency(t *testing.T) {
 	}
 	if res.AvgContentionPerHop > 0.02 {
 		t.Fatalf("contention %.3f at zero load", res.AvgContentionPerHop)
+	}
+}
+
+func TestO1TurnIdealLatencyPerClass(t *testing.T) {
+	// Only row 0 has an express link, so the (0,5) -> (5,0) flow's YX path
+	// (column 0, then the express hop) is shorter than its XY path (row 5,
+	// then column 5): heads 28 and 40 cycles. At zero load every packet's
+	// network latency must equal the ideal of its own dimension order.
+	tp := topo.Mesh(6)
+	tp.Rows[0] = topo.NewRow(6, topo.Span{From: 0, To: 5})
+	cfg := quickCfg(tp, 2, pairPattern{Src: 5 * 6, Dst: 5}, 0.002)
+	cfg.Routing = RoutingO1Turn
+	cfg.Mix = []model.PacketClass{{Name: "only", Bits: 128, Frac: 1}}
+	cfg.Measure = 20000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ideals := map[float64]int{}
+	s.onPacketDone = func(src, dst, flits, hops int, netLat, ideal float64) {
+		if netLat != ideal {
+			t.Errorf("packet %d -> %d over %d hops: latency %g, ideal %g", src, dst, hops, netLat, ideal)
+		}
+		ideals[ideal]++
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Ideal = head + ejection stages (2) + local link (2) + flits-1 (0).
+	if len(ideals) != 2 || ideals[28+4] == 0 || ideals[40+4] == 0 {
+		t.Fatalf("ideal latencies %v, want both 32 (YX) and 44 (XY)", ideals)
 	}
 }
 

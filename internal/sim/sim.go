@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"time"
 
+	"explink/internal/route"
 	"explink/internal/runctl"
 	"explink/internal/stats"
 )
@@ -30,10 +31,10 @@ type Simulator struct {
 	nis      []*nodeIface
 	channels []*channel
 
-	idealHead   [][]float64
-	idealHeadYX [][]float64 // only populated under O1TURN routing
-	mixCum      []float64
-	mixFlits    []int
+	rowPaths []*route.RowPaths // shared with netShared; read for ideal latencies
+	colPaths []*route.RowPaths
+	mixCum   []float64
+	mixFlits []int
 
 	now           int64
 	counts        Counts
@@ -849,9 +850,13 @@ func (s *Simulator) eject(f flit, t int64) {
 // serialization of the remaining flits. The constant matches the timing
 // convention in the package comment; TestZeroLoadMatchesModel pins it.
 func (s *Simulator) idealNetLatency(p *packet) float64 {
-	head := s.idealHead[p.src][p.dst]
-	if p.yx && s.idealHeadYX != nil {
-		head = s.idealHeadYX[p.src][p.dst]
+	sr, dr := p.src/s.k, p.dst/s.k
+	sx, sy := sr%s.w, sr/s.w
+	dx, dy := dr%s.w, dr/s.w
+	// XY turns at (dx, sy); YX, O1TURN's second class, at (sx, dy).
+	head := s.rowPaths[sy].Dist[sx][dx] + s.colPaths[dx].Dist[sy][dy]
+	if p.yx {
+		head = s.colPaths[sx].Dist[sy][dy] + s.rowPaths[dy].Dist[sx][dx]
 	}
 	return head + float64(s.cfg.RouterStages-1) + 2 + float64(p.flits-1)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"explink/internal/model"
@@ -403,5 +404,33 @@ func TestDebugString(t *testing.T) {
 	}
 	if s.DebugString() == "" || s.Now() != 0 {
 		t.Fatal("debug accessors broken")
+	}
+}
+
+// TestNewAllocBound bounds what building the largest network the api admits
+// (a 64x64 mesh) allocates. The ideal-latency metric reads the row and
+// column shortest paths the network already holds; a cores x cores latency
+// matrix per dimension order (134 MB each at this size, plus a second
+// routing pass to fill them) allocated 206.6 MB under XY and 340.9 MB under
+// O1TURN. Reading the paths allocates 49.8 MB in total.
+func TestNewAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 64x64 network")
+	}
+	const bound = 64 << 20
+	for _, routing := range []RoutingMode{RoutingXY, RoutingO1Turn} {
+		cfg := NewConfig(topo.Mesh(64), 1, traffic.UniformRandom(64), 0.01)
+		cfg.Routing = routing
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("routing %d: New allocated %d bytes, want <= %d", routing, got, bound)
+		}
 	}
 }
