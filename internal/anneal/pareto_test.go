@@ -243,6 +243,41 @@ func TestMinimizeParetoCancel(t *testing.T) {
 	}
 }
 
+// cancellingVector is a testVector that cancels the search's context during
+// its at-th move.
+type cancellingVector struct {
+	testVector
+	cancel      context.CancelFunc
+	at, flipped int
+}
+
+func (o *cancellingVector) Flip(bit int) {
+	o.flipped++
+	if o.flipped == o.at {
+		o.cancel()
+	}
+	o.testVector.Flip(bit)
+}
+
+// TestMinimizeParetoCancelMidSearch: the context is polled every 64 moves, so
+// a cancel during a search ends it within 64 further moves, at the next poll,
+// and the archive found so far is still returned.
+func TestMinimizeParetoCancelMidSearch(t *testing.T) {
+	init := topo.NewConnMatrix(8, 3)
+	for _, at := range []int{1, 63, 64, 65, 100} {
+		ctx, cancel := context.WithCancel(context.Background())
+		obj := &cancellingVector{cancel: cancel, at: at}
+		res := MinimizePareto(ctx, init, obj, ParetoOpts{}, DefaultSchedule(), stats.NewRNG(4))
+		cancel()
+		if obj.flipped < at || obj.flipped >= at+64 {
+			t.Fatalf("cancelled at move %d: search ran %d moves, want fewer than %d", at, obj.flipped, at+64)
+		}
+		if res.Evals != int64(obj.flipped)+1 || len(res.Entries) == 0 {
+			t.Fatalf("cancelled at move %d: %d evals for %d moves, %d entries", at, res.Evals, obj.flipped, len(res.Entries))
+		}
+	}
+}
+
 // TestMinimizeParetoHugeArchiveCap is the regression test for caps and move
 // budgets far beyond what the search can fill: a 2^40 archive cap must not
 // try to allocate 2^40 slots, and a math.MaxInt move budget must not

@@ -19,17 +19,23 @@ import (
 // Every value it returns is bit-identical to the corresponding Scratch
 // evaluation of the same row (Scratch.MeanMax, Scratch.MeanDist,
 // Scratch.WeightedMean). Params.Check bounds the costs so that every
-// distance and every sum is an exact integer: the leftward i->j distance is
-// the rightward j->i one, so only the upper triangle is swept and stored,
-// and the uniform mean comes from a running sum whose value no addition
-// order can change. Searches driven by an Incremental therefore follow
-// bit-for-bit the same trajectory as ones paying a full evaluation per move.
+// distance and every sum is an integer that both int64 and float64 hold
+// exactly: the leftward i->j distance is the rightward j->i one, so only the
+// upper triangle is swept and stored, as int64, and the uniform mean comes
+// from an integer running sum converted to float64 only when returned.
+// Searches driven by an Incremental therefore follow bit-for-bit the same
+// trajectory as ones paying a full evaluation per move.
 //
 // Dirty-region invariant (see DESIGN.md §10): a span (a,b) is traversed
 // rightward only by sources i <= a and can only alter their distances at
 // destinations v >= b. Pending changed spans are therefore summarized by
 // three integers — the affected-source bound, the sweep resume position and
 // the reconvergence barrier — and a sync recomputes just those row segments.
+//
+// Moves are transactions: while one is open, every distance a sync
+// overwrites is logged with its old value, so Revert restores the matrix,
+// the running sum and the pending dirty region exactly as Update found them
+// instead of re-sweeping what the move changed.
 //
 // An Incremental is not safe for concurrent use; give each goroutine its own.
 type Incremental struct {
@@ -41,24 +47,34 @@ type Incremental struct {
 	// every distance in a contiguous row is finite.
 	exRight [][]int
 	exLeft  [][]int
-	cost    []float64 // cost[d] = p.EdgeCost(d), precomputed per unit length
+	cost    []int64 // cost[d] = p.EdgeCost(d), precomputed per unit length
 	// dist is n x n row-major; only the upper triangle is kept:
 	// dist[i*n+j] for j > i is the shortest i->j distance, which is also the
-	// leftward j->i one. upper is its exact running sum.
-	dist  []float64
-	upper float64
+	// leftward j->i one. upper is its running sum.
+	dist  []int64
+	upper int64
 
-	// Pending dirty region accumulated since the last sync. While dirty,
-	// dist rows are stale only inside the region the aggregates describe.
-	dirty   bool
-	rSrcMax int // sources 0..rSrcMax may be affected (max From)
-	rFrom   int // sweep resume position (min To)
-	rTo     int // reconvergence barrier (max To)
+	// r is the pending dirty region accumulated since the last sync. While
+	// r.dirty, dist rows are stale only inside the region it describes.
+	r dirtyRegion
 
-	// Undo log: a flat edit buffer plus per-open-move edit counts. Moves are
-	// closed strictly LIFO by Revert (undo) or Commit (keep).
-	edits   []incEdit
-	moveLen []int
+	// Undo state of the open moves, closed strictly LIFO by Revert (undo) or
+	// Commit (keep). edits logs the adjacency changes and undo every distance
+	// a sync overwrote, oldest first; moves holds one saved state per open
+	// move. movesBuf backs moves up to four deep without a heap allocation;
+	// SA and D&C open one move at a time, BnB's deeper stacks grow it.
+	edits    []incEdit
+	undo     []incUndo
+	moves    []incMove
+	movesBuf [4]incMove
+}
+
+// dirtyRegion summarizes the pending changed spans (see sync).
+type dirtyRegion struct {
+	dirty  bool
+	srcMax int // sources 0..srcMax may be affected (max From)
+	from   int // sweep resume position (min To)
+	to     int // reconvergence barrier (max To)
 }
 
 // incEdit records one adjacency mutation of an open move.
@@ -67,9 +83,32 @@ type incEdit struct {
 	added bool // true if the edit added the span, false if it removed one
 }
 
+// incUndo records one distance overwritten while a move was open.
+type incUndo struct {
+	at  int // index into dist
+	old int64
+}
+
+// incMove is the state an open move's Revert restores: the log lengths and
+// the running sum and dirty region at its Update.
+type incMove struct {
+	edits, undo int
+	upper       int64
+	r           dirtyRegion
+}
+
+// undoPresize caps the undo log Reset presizes. One sync overwrites at most
+// the n(n-1)/2 upper-triangle entries, so below the cap a move with one sync
+// never grows the log; past it the log grows by append.
+const undoPresize = 1 << 12
+
 // NewIncremental returns an evaluator for the given edge-cost model. Call
 // Reset before the first query; buffers grow to the largest row seen.
-func NewIncremental(p Params) *Incremental { return &Incremental{p: p} }
+func NewIncremental(p Params) *Incremental {
+	inc := &Incremental{p: p}
+	inc.moves = inc.movesBuf[:0]
+	return inc
+}
 
 // Params returns the edge-cost model the evaluator scores with.
 func (inc *Incremental) Params() Params { return inc.p }
@@ -86,6 +125,13 @@ func (inc *Incremental) Reset(row topo.Row) {
 		panic(err)
 	}
 	inc.n = n
+	// Open moves are discarded first, so the sweeps below log nothing.
+	inc.edits = inc.edits[:0]
+	inc.undo = inc.undo[:0]
+	inc.moves = inc.moves[:0]
+	if want := min(n*(n-1)/2, undoPresize); cap(inc.undo) < want {
+		inc.undo = make([]incUndo, 0, want)
+	}
 	if len(inc.exRight) < n {
 		inc.exRight = append(inc.exRight, make([][]int, n-len(inc.exRight))...)
 		inc.exLeft = append(inc.exLeft, make([][]int, n-len(inc.exLeft))...)
@@ -99,13 +145,13 @@ func (inc *Incremental) Reset(row topo.Row) {
 		inc.exLeft[s.From] = append(inc.exLeft[s.From], s.To)
 	}
 	if len(inc.cost) < n {
-		inc.cost = make([]float64, n)
+		inc.cost = make([]int64, n)
 		for d := range inc.cost {
-			inc.cost[d] = inc.p.EdgeCost(d)
+			inc.cost[d] = int64(inc.p.EdgeCost(d)) // exact: Check passed
 		}
 	}
 	if len(inc.dist) < n*n {
-		inc.dist = make([]float64, n*n)
+		inc.dist = make([]int64, n*n)
 	}
 	for i := 0; i < n; i++ {
 		inc.dist[i*n+i] = 0
@@ -119,9 +165,7 @@ func (inc *Incremental) Reset(row topo.Row) {
 			inc.upper += d
 		}
 	}
-	inc.dirty = false
-	inc.edits = inc.edits[:0]
-	inc.moveLen = inc.moveLen[:0]
+	inc.r.dirty = false
 }
 
 // Update opens a move that removes each span in removed (which must be
@@ -130,57 +174,69 @@ func (inc *Incremental) Reset(row topo.Row) {
 // stays open until Revert undoes it or Commit keeps it; open moves close
 // strictly last-in-first-out.
 func (inc *Incremental) Update(removed, added []topo.Span) {
-	start := len(inc.edits)
+	inc.moves = append(inc.moves, incMove{edits: len(inc.edits), undo: len(inc.undo), upper: inc.upper, r: inc.r})
 	for _, s := range removed {
 		inc.remove(s)
+		inc.markDirty(s)
 		inc.edits = append(inc.edits, incEdit{s: s, added: false})
 	}
 	for _, s := range added {
 		inc.add(s)
+		inc.markDirty(s)
 		inc.edits = append(inc.edits, incEdit{s: s, added: true})
 	}
-	inc.moveLen = append(inc.moveLen, len(inc.edits)-start)
 }
 
-// Revert undoes the most recent open move.
+// Revert undoes the most recent open move: it replays the move's adjacency
+// edits backwards and writes back, newest first, every distance a sync
+// overwrote since its Update, so the matrix, the running sum and the pending
+// dirty region are exactly those Update found. Nothing is re-swept.
 func (inc *Incremental) Revert() {
-	edits := inc.popMove("Revert")
-	for k := len(edits) - 1; k >= 0; k-- {
-		if edits[k].added {
-			inc.remove(edits[k].s)
+	m := inc.popMove("Revert")
+	for k := len(inc.edits) - 1; k >= m.edits; k-- {
+		if e := inc.edits[k]; e.added {
+			inc.remove(e.s)
 		} else {
-			inc.add(edits[k].s)
+			inc.add(e.s)
 		}
 	}
-	inc.edits = inc.edits[:len(inc.edits)-len(edits)]
+	for k := len(inc.undo) - 1; k >= m.undo; k-- {
+		inc.dist[inc.undo[k].at] = inc.undo[k].old
+	}
+	inc.edits = inc.edits[:m.edits]
+	inc.undo = inc.undo[:m.undo]
+	inc.upper, inc.r = m.upper, m.r
 }
 
-// Commit accepts the most recent open move, making it part of the current
-// state that later Reverts can no longer touch.
+// Commit accepts the most recent open move. A move committed inside an
+// enclosing one joins it: its edits and overwrites stay logged, and a later
+// Revert of the enclosing move undoes both. Once the outermost move is
+// committed the logs are dropped.
 func (inc *Incremental) Commit() {
-	edits := inc.popMove("Commit")
-	inc.edits = inc.edits[:len(inc.edits)-len(edits)]
+	inc.popMove("Commit")
+	if len(inc.moves) == 0 {
+		inc.edits = inc.edits[:0]
+		inc.undo = inc.undo[:0]
+	}
 }
 
-func (inc *Incremental) popMove(op string) []incEdit {
-	if len(inc.moveLen) == 0 {
+func (inc *Incremental) popMove(op string) incMove {
+	if len(inc.moves) == 0 {
 		panic("route: Incremental." + op + " without a matching Update")
 	}
-	count := inc.moveLen[len(inc.moveLen)-1]
-	inc.moveLen = inc.moveLen[:len(inc.moveLen)-1]
-	return inc.edits[len(inc.edits)-count:]
+	m := inc.moves[len(inc.moves)-1]
+	inc.moves = inc.moves[:len(inc.moves)-1]
+	return m
 }
 
 func (inc *Incremental) add(s topo.Span) {
 	inc.check(s)
-	inc.markDirty(s)
 	inc.exRight[s.To] = append(inc.exRight[s.To], s.From)
 	inc.exLeft[s.From] = append(inc.exLeft[s.From], s.To)
 }
 
 func (inc *Incremental) remove(s topo.Span) {
 	inc.check(s)
-	inc.markDirty(s)
 	if !cutEdge(inc.exRight, s.To, s.From) || !cutEdge(inc.exLeft, s.From, s.To) {
 		panic(fmt.Sprintf("route: Incremental removal of absent span %v", s))
 	}
@@ -210,33 +266,34 @@ func (inc *Incremental) check(s topo.Span) {
 // and removing dirty the same region: both invalidate exactly the distances
 // whose shortest paths could cross the span.
 func (inc *Incremental) markDirty(s topo.Span) {
-	if !inc.dirty {
-		inc.dirty = true
-		inc.rSrcMax, inc.rFrom, inc.rTo = s.From, s.To, s.To
+	r := &inc.r
+	if !r.dirty {
+		*r = dirtyRegion{dirty: true, srcMax: s.From, from: s.To, to: s.To}
 		return
 	}
-	inc.rSrcMax = max(inc.rSrcMax, s.From)
-	inc.rFrom = min(inc.rFrom, s.To)
-	inc.rTo = max(inc.rTo, s.To)
+	r.srcMax = max(r.srcMax, s.From)
+	r.from = min(r.from, s.To)
+	r.to = max(r.to, s.To)
 }
 
 // sync brings every stale distance row segment up to date with the adjacency.
 func (inc *Incremental) sync() {
-	if !inc.dirty {
+	if !inc.r.dirty {
 		return
 	}
-	for i := 0; i <= inc.rSrcMax; i++ {
-		inc.sweepRight(i, inc.rFrom, inc.rTo)
+	for i := 0; i <= inc.r.srcMax; i++ {
+		inc.sweepRight(i, inc.r.from, inc.r.to)
 	}
-	inc.dirty = false
+	inc.r.dirty = false
 }
 
 // sweepRight recomputes source i's rightward distances from position `from`
-// (clamped past the source) to the row end, with Scratch.distRow's exact
+// (clamped past the source) to the row end, with Scratch.distRow's
 // relaxation: the minimum is over the same candidate set with the same
-// per-edge cost values (cost[d] is precomputed by the identical expression),
-// and min is order-independent, so every stored distance is bit-identical to
-// a full evaluation. The local link from v-1 always exists, seeding the
+// per-edge cost values (cost[d] is the integer EdgeCost(d) holds exactly),
+// and min is order-independent, so every stored distance equals a full
+// evaluation's. While a move is open, each overwritten distance is logged
+// for Revert. The local link from v-1 always exists, seeding the
 // minimum without Scratch's reachability guard. Positions left of `from` are
 // unaffected by pending spans, so their stored values feed the resumed
 // recurrence unchanged. The sweep stops at the first position past `barrier`
@@ -264,6 +321,9 @@ func (inc *Incremental) sweepRight(i, from, barrier int) {
 			}
 		}
 		if best != row[v] {
+			if len(inc.moves) > 0 {
+				inc.undo = append(inc.undo, incUndo{at: i*n + v, old: row[v]})
+			}
 			inc.upper += best - row[v]
 			row[v] = best
 			if v+1 > stop {
@@ -284,16 +344,19 @@ func (inc *Incremental) sweepRight(i, from, barrier int) {
 // MeanMax returns the mean and maximum directional pair distance of the
 // current state, bit-identical to Scratch.MeanMax on the equivalent row: the
 // mean as Mean computes it, the maximum from the upper triangle, which holds
-// every value.
+// every value. It is reached only through model.IncObjective's
+// worst-case-weighted score (Config.WorstWeight > 0): the /v1/solve requests
+// with worstWeight > 0 that perfbench's solve-cold workload sends.
 func (inc *Incremental) MeanMax() (mean, maxDist float64) {
 	inc.sync()
 	n := inc.n
+	var m int64
 	for i := 0; i < n; i++ {
 		for _, d := range inc.dist[i*n+i+1 : i*n+n] {
-			maxDist = max(maxDist, d)
+			m = max(m, d)
 		}
 	}
-	return inc.mean(), maxDist
+	return inc.mean(), float64(m)
 }
 
 // Mean returns the mean directional pair distance of the current state,
@@ -304,10 +367,10 @@ func (inc *Incremental) Mean() float64 {
 }
 
 // mean is O(1): Scratch's ordered sum of the n² exact integers equals their
-// true sum, which is twice the upper triangle, so dividing the same float64
-// by the same n² gives the same bits.
+// true sum, which is twice the upper triangle and below 2^53, so converting
+// it to float64 and dividing by the same n² gives the same bits.
 func (inc *Incremental) mean() float64 {
-	return 2 * inc.upper / float64(inc.n*inc.n)
+	return float64(2*inc.upper) / float64(inc.n*inc.n)
 }
 
 // WeightedMean returns the w-weighted mean pair distance of the current
@@ -323,9 +386,9 @@ func (inc *Incremental) WeightedMean(w [][]float64) float64 {
 			if j == i {
 				continue
 			}
-			d := inc.dist[i*n+j]
+			d := float64(inc.dist[i*n+j])
 			if j < i {
-				d = inc.dist[j*n+i]
+				d = float64(inc.dist[j*n+i])
 			}
 			sum += d
 			if w != nil {

@@ -93,3 +93,124 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIncrementalUndo drives the undo log through the move patterns the
+// solvers produce beyond FuzzIncrementalVsScratch's query-then-close walk:
+// moves closed with no query since their Update (the annealer's memo hits),
+// and moves nested up to three deep and closed last-in-first-out (the BnB
+// pattern), a nested Commit folding into its enclosing move. The size
+// and cost bytes pick the row shape and edge-cost model as in
+// FuzzIncrementalVsScratch. Each ops byte either opens or closes a move: at
+// depth 0 it opens, at depth 3 it closes, and otherwise bit 7 picks close (1)
+// or open (0). An open flips bit (low six bits) of the connection matrix and,
+// if bit 6 is set, queries Mean. A close queries Mean first if bit 5 is set,
+// then commits if bit 6 is set and reverts if not. Moves still open at the
+// end are reverted. After every close the state, synced on a copy so the
+// pending dirty region survives for the next move, must equal a fresh Reset
+// of the decoded row, and a Revert must restore the dirty region its Update
+// found — so a move synced and then reverted leaves a clean state clean.
+func FuzzIncrementalUndo(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{0x00, 0x80, 0x41, 0xa0, 0x02, 0xc0})
+	f.Add(uint8(4), uint8(1), []byte{0x40, 0x41, 0x42, 0xa0, 0xe0, 0x80, 0x03, 0xc0})
+	f.Add(uint8(8), uint8(3), []byte{0x05, 0x46, 0x07, 0xe0, 0xc0, 0xa0, 0x48, 0x09, 0x80, 0xc0})
+	f.Add(uint8(7), uint8(5), []byte{0x41, 0x02, 0x43, 0xc0, 0x80, 0xe0, 0x44, 0x45, 0x06})
+	f.Add(uint8(5), uint8(2), []byte{0x10, 0xc0, 0x51, 0x80, 0x12, 0xe0, 0x53, 0xa0, 0x14, 0xc0})
+
+	sizes := []struct{ n, c int }{
+		{4, 2}, {4, 3}, {4, 4},
+		{8, 2}, {8, 3}, {8, 4},
+		{16, 2}, {16, 3}, {16, 4},
+	}
+	type frame struct {
+		bits  []int // matrix bits flipped by the move and its committed inner moves
+		r     dirtyRegion
+		upper int64
+	}
+	f.Fuzz(func(t *testing.T, size, cost uint8, ops []byte) {
+		sz := sizes[int(size)%len(sizes)]
+		p := fuzzParams[int(cost)%len(fuzzParams)]
+		m := topo.NewConnMatrix(sz.n, sz.c)
+		inc := NewIncremental(p)
+		fresh := NewIncremental(p)
+		s := NewScratch()
+		inc.Reset(m.Row())
+		var rem, add []topo.Span
+		var open []frame
+		query := func(step int, what string) {
+			if got, want := inc.Mean(), s.MeanDist(m.Row(), p); got != want {
+				t.Fatalf("%+v step %d %s: Mean = %v, want %v for row %v", p, step, what, got, want, m.Row())
+			}
+		}
+		closeMove := func(step int, commit bool) {
+			top := open[len(open)-1]
+			open = open[:len(open)-1]
+			if commit {
+				inc.Commit()
+				if len(open) > 0 {
+					open[len(open)-1].bits = append(open[len(open)-1].bits, top.bits...)
+				}
+			} else {
+				for _, bit := range top.bits {
+					m.FlipAt(bit)
+				}
+				inc.Revert()
+				if inc.r != top.r || inc.upper != top.upper {
+					t.Fatalf("%+v step %d revert: dirty region %+v, sum %d, want %+v, %d as Update found them",
+						p, step, inc.r, inc.upper, top.r, top.upper)
+				}
+			}
+			row := m.Row()
+			c := syncedCopy(inc)
+			fresh.Reset(row)
+			n := row.N
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if c.dist[i*n+j] != fresh.dist[i*n+j] {
+						t.Fatalf("%+v step %d close (commit %v): dist[%d][%d] = %d, want %d for row %v",
+							p, step, commit, i, j, c.dist[i*n+j], fresh.dist[i*n+j], row)
+					}
+				}
+			}
+			if got, want := c.Mean(), s.MeanDist(row, p); got != want {
+				t.Fatalf("%+v step %d close (commit %v): Mean = %v, want %v for row %v", p, step, commit, got, want, row)
+			}
+		}
+		for step, op := range ops {
+			if len(ops) > 64 && step >= 64 {
+				break // bound per-input work, as FuzzIncrementalVsScratch does
+			}
+			if len(open) == 3 || (len(open) > 0 && op&0x80 != 0) {
+				if op&0x20 != 0 {
+					query(step, "before close")
+				}
+				closeMove(step, op&0x40 != 0)
+				continue
+			}
+			bit := int(op&0x3f) % m.Bits()
+			open = append(open, frame{bits: []int{bit}, r: inc.r, upper: inc.upper})
+			rem, add = m.DeltaAt(bit, rem[:0], add[:0])
+			m.FlipAt(bit)
+			inc.Update(rem, add)
+			if op&0x40 != 0 {
+				query(step, "after open")
+			}
+		}
+		for len(open) > 0 {
+			closeMove(len(ops), false)
+		}
+	})
+}
+
+// syncedCopy returns a synced deep copy of inc's current state, leaving inc
+// itself, and its pending dirty region, untouched.
+func syncedCopy(inc *Incremental) *Incremental {
+	c := NewIncremental(inc.p)
+	c.n, c.cost, c.upper, c.r = inc.n, inc.cost, inc.upper, inc.r
+	c.dist = append([]int64(nil), inc.dist...)
+	for v := range inc.exRight {
+		c.exRight = append(c.exRight, append([]int(nil), inc.exRight[v]...))
+		c.exLeft = append(c.exLeft, append([]int(nil), inc.exLeft[v]...))
+	}
+	c.sync()
+	return c
+}

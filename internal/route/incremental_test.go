@@ -239,3 +239,58 @@ func TestParamsCheckBound(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalMoveAllocs pins a rejected move, Update → Mean → Revert on
+// a warmed evaluator, to zero allocations: Reset presizes the undo log for a
+// full sync, and the edit log and the move stack keep their capacity.
+func TestIncrementalMoveAllocs(t *testing.T) {
+	m := topo.NewConnMatrix(16, 8)
+	rng := stats.NewRNG(3)
+	m.Randomize(func() bool { return rng.Bool(0.5) })
+	inc := NewIncremental(testParams)
+	inc.Reset(m.Row())
+	if got, want := cap(inc.undo), 16*15/2; got < want {
+		t.Fatalf("Reset presized the undo log to %d entries, want >= %d", got, want)
+	}
+	var rem, add []topo.Span
+	// One run rejects a move at every bit. AllocsPerRun makes one warm-up
+	// run, so the result counts every allocation of a second full pass.
+	moves := func() {
+		for bit := range m.Bits() {
+			rem, add = m.DeltaAt(bit, rem[:0], add[:0])
+			inc.Update(rem, add)
+			inc.Mean()
+			inc.Revert()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, moves); allocs != 0 {
+		t.Fatalf("%d rejected moves allocated %v times, want 0", m.Bits(), allocs)
+	}
+}
+
+// BenchmarkIncrementalMove is the annealer's move on an n=16, C=8 row:
+// ConnMatrix.DeltaAt → Update → Mean, then Revert on about 40% of moves (the
+// rejection rate of a default-schedule search) and Commit on the rest.
+func BenchmarkIncrementalMove(b *testing.B) {
+	m := topo.NewConnMatrix(16, 8)
+	rng := stats.NewRNG(5)
+	m.Randomize(func() bool { return rng.Bool(0.5) })
+	inc := NewIncremental(testParams)
+	inc.Reset(m.Row())
+	var rem, add []topo.Span
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bit := rng.Intn(m.Bits())
+		rem, add = m.DeltaAt(bit, rem[:0], add[:0])
+		m.FlipAt(bit)
+		inc.Update(rem, add)
+		inc.Mean()
+		if rng.Bool(0.4) {
+			m.FlipAt(bit)
+			inc.Revert()
+		} else {
+			inc.Commit()
+		}
+	}
+}
