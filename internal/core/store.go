@@ -291,7 +291,7 @@ func (st *PlacementStore) loadDisk(addr, key string) (StoredPlacement, bool) {
 	return sp, true
 }
 
-// saveDisk persists one entry atomically (write to a temp file, then
+// saveDisk persists one entry atomically (write and fsync a temp file, then
 // rename); persistence failures are ignored — the cache is an accelerator,
 // not a system of record. Called without st.mu: the temp-file + rename
 // pattern is already safe against concurrent writers of the same address
@@ -309,9 +309,12 @@ func (st *PlacementStore) saveDisk(addr, key string, sp StoredPlacement) {
 	if err != nil {
 		return
 	}
+	// Sync before the rename: otherwise a crash after it can leave the
+	// entry's name pointing at data that never reached the disk.
 	_, werr := tmp.Write(append(buf, '\n'))
+	serr := tmp.Sync()
 	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		return
 	}

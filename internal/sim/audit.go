@@ -12,7 +12,10 @@ package sim
 //     in-flight flits and in-flight credit returns equal the buffer depth;
 //   - active-set consistency: the occupancy bitmasks and work lists of the
 //     event-driven engine (see DESIGN.md §5) agree with the actual buffer
-//     state, so no component with work pending can be skipped;
+//     state, and every flit on a channel has its arrival scheduled on the due
+//     wheel, so no component with work pending can be skipped;
+//   - free-VC masks: bit v of an output port's free mask is set exactly when
+//     no input VC holds output VC v;
 //   - route monotonicity: every hop moves a head flit strictly closer to its
 //     destination along the dimension order in force (X before Y under DOR,
 //     reversed for O1TURN's YX class), which excludes U-turns by construction.
@@ -23,23 +26,27 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
-
-// auditVCCap bounds the per-VC scratch used to bucket in-flight queue entries
-// by VC; normalize enforces VCs <= 64.
-const auditVCCap = 64
 
 type auditor struct {
 	s *Simulator
 	// err latches the first violation observed by the grant-time route check;
 	// check reports it ahead of the conservation sweeps.
 	err error
-	// perVC is scratch for bucketing channel/credit queue entries by VC.
-	perVC [auditVCCap]int
+	// inFlight is scratch parallel to Simulator.cred: per credit counter, the
+	// flits on the wire toward its buffer plus the credit returns still in
+	// the credit wheel.
+	inFlight []int
+	// scheduled is scratch parallel to Simulator.channels: per channel, the
+	// arrivals set for it across all due-wheel slots.
+	scheduled []int
 }
 
-func newAuditor(s *Simulator) *auditor { return &auditor{s: s} }
+func newAuditor(s *Simulator) *auditor {
+	return &auditor{s: s, inFlight: make([]int, len(s.cred)), scheduled: make([]int, len(s.channels))}
+}
 
 func (a *auditor) fail(now int64, invariant, format string, args ...any) error {
 	return &AuditError{Cycle: now, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
@@ -55,6 +62,9 @@ func (a *auditor) check(now int64) error {
 		return err
 	}
 	if err := a.checkCreditConservation(now); err != nil {
+		return err
+	}
+	if err := a.checkFreeMasks(now); err != nil {
 		return err
 	}
 	return a.checkActiveSets(now)
@@ -79,11 +89,25 @@ func (a *auditor) checkFlitConservation(now int64) error {
 
 // checkCreditConservation verifies, for every channel and every VC, that
 // free upstream credits + occupied downstream buffer slots + flits still on
-// the wire + credit returns still in flight add up to the downstream buffer
-// depth. It covers both router-to-router channels and the NI injection link.
+// the wire + credit returns still in the credit wheel add up to the
+// downstream buffer depth. It covers both router-to-router channels and the
+// NI injection link.
 func (a *auditor) checkCreditConservation(now int64) error {
 	s := a.s
 	vcs := s.cfg.VCs
+	inFlight := a.inFlight
+	clear(inFlight)
+	for _, slot := range s.credWheel {
+		for _, i := range slot {
+			inFlight[i]++ // a credit in flight holds a slot too
+		}
+	}
+	for _, ch := range s.channels {
+		up := ch.dst.in[ch.dstPort].upCred
+		for i := 0; i < ch.q.len(); i++ {
+			inFlight[up+int(ch.q.at(i).vc)]++
+		}
+	}
 	for _, r := range s.routers {
 		for oi := range r.out {
 			op := &r.out[oi]
@@ -91,55 +115,61 @@ func (a *auditor) checkCreditConservation(now int64) error {
 				continue // the ejection sink never backpressures
 			}
 			dstIn := &op.ch.dst.in[op.ch.dstPort]
-			onWire := a.perVC[:vcs]
-			for i := range onWire {
-				onWire[i] = 0
-			}
-			for i := 0; i < op.ch.q.len(); i++ {
-				onWire[op.ch.q.at(i).vc]++
-			}
-			for i := 0; i < op.creditQ.len(); i++ {
-				onWire[op.creditQ.at(i).vc]++ // credit in flight holds a slot too
-			}
 			for v := 0; v < vcs; v++ {
 				depth := dstIn.vcs[v].fifo.cap()
-				got := op.credits[v] + dstIn.vcs[v].fifo.len() + onWire[v]
-				if got != depth {
+				wire := inFlight[dstIn.upCred+v]
+				if got := op.credits[v] + dstIn.vcs[v].fifo.len() + wire; got != depth {
 					return a.fail(now, "credit-conservation",
 						"router %d out[%d] -> router %d in[%d] vc%d: credits=%d + buffered=%d + in-flight=%d != depth %d",
 						r.id, oi, op.ch.dst.id, op.ch.dstPort, v,
-						op.credits[v], dstIn.vcs[v].fifo.len(), onWire[v], depth)
+						op.credits[v], dstIn.vcs[v].fifo.len(), wire, depth)
 				}
 			}
 		}
 	}
 	for _, ni := range s.nis {
 		ip := &ni.injector.in[ni.inPort]
-		onWire := a.perVC[:vcs]
-		for i := range onWire {
-			onWire[i] = 0
-		}
-		for i := 0; i < ni.creditQ.len(); i++ {
-			onWire[ni.creditQ.at(i).vc]++
-		}
 		for v := 0; v < vcs; v++ {
 			depth := ip.vcs[v].fifo.cap()
-			got := ni.credits[v] + ip.vcs[v].fifo.len() + onWire[v]
-			if got != depth {
+			wire := inFlight[ip.upCred+v]
+			if got := ni.credits[v] + ip.vcs[v].fifo.len() + wire; got != depth {
 				return a.fail(now, "credit-conservation",
 					"NI %d -> router %d in[%d] vc%d: credits=%d + buffered=%d + in-flight=%d != depth %d",
 					ni.id, ni.injector.id, ni.inPort, v,
-					ni.credits[v], ip.vcs[v].fifo.len(), onWire[v], depth)
+					ni.credits[v], ip.vcs[v].fifo.len(), wire, depth)
 			}
 		}
 	}
 	return nil
 }
 
-// checkActiveSets verifies the event-driven engine's occupancy bitmasks and
-// work lists against the actual buffer state: a component holding work must
-// be discoverable by the next step, and every occupancy bit must match its
-// FIFO.
+// checkFreeMasks verifies every output port's free-VC mask against its
+// holders: bit v is set iff no input VC holds output VC v, and no bit above
+// the configured VCs is set.
+func (a *auditor) checkFreeMasks(now int64) error {
+	s := a.s
+	for _, r := range s.routers {
+		for oi := range r.out {
+			op := &r.out[oi]
+			if op.free&^s.vcMask != 0 {
+				return a.fail(now, "free-vc-mask",
+					"router %d out[%d]: free mask %b has bits beyond %d VCs", r.id, oi, op.free, len(op.holder))
+			}
+			for v, h := range op.holder {
+				if free := op.free>>uint(v)&1 == 1; free != (h < 0) {
+					return a.fail(now, "free-vc-mask",
+						"router %d out[%d] vc%d: free bit %v but holder %d", r.id, oi, v, free, h)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkActiveSets verifies the event-driven engine's occupancy bitmasks,
+// work lists and due wheel against the actual buffer state: a component
+// holding work must be discoverable by a later step, and every occupancy bit
+// must match its FIFO.
 func (a *auditor) checkActiveSets(now int64) error {
 	s := a.s
 	for _, r := range s.routers {
@@ -172,30 +202,28 @@ func (a *auditor) checkActiveSets(now int64) error {
 				"router %d holds %d flits but is not on the router active set", r.id, r.occupied)
 		}
 	}
+	// Each flit on a wire is delivered by exactly one due bit: a channel
+	// whose flits outnumber its bits would strand one, and a surplus bit
+	// would pop a flit early.
+	scheduled := a.scheduled
+	clear(scheduled)
+	for i, w := range s.dueWheel {
+		base := (i % s.chWords) << 6
+		for ; w != 0; w &= w - 1 {
+			scheduled[base+bits.TrailingZeros64(w)]++
+		}
+	}
 	for _, ch := range s.channels {
-		if ch.q.len() > 0 && s.chAct[uint(ch.idx)>>6]>>(uint(ch.idx)&63)&1 == 0 {
+		if n := ch.q.len(); n != scheduled[ch.idx] {
 			return a.fail(now, "active-set",
-				"channel %d (router %d -> %d) holds %d flits but is not on the channel active set",
-				ch.idx, ch.src.id, ch.dst.id, ch.q.len())
+				"channel %d (router %d -> %d) holds %d flits but the due wheel schedules %d arrivals",
+				ch.idx, ch.src.id, ch.dst.id, n, scheduled[ch.idx])
 		}
 	}
 	for _, ni := range s.nis {
 		if ni.srcQ.len() > 0 && s.niAct[uint(ni.id)>>6]>>(uint(ni.id)&63)&1 == 0 {
 			return a.fail(now, "active-set",
 				"NI %d queues %d flits but is not on the injection active set", ni.id, ni.srcQ.len())
-		}
-		if ni.creditQ.len() > 0 && !ni.creditActive {
-			return a.fail(now, "active-set",
-				"NI %d has %d pending credits but is not credit-active", ni.id, ni.creditQ.len())
-		}
-	}
-	for _, r := range s.routers {
-		for oi := range r.out {
-			op := &r.out[oi]
-			if op.creditQ.len() > 0 && !op.creditActive {
-				return a.fail(now, "active-set",
-					"router %d out[%d] has %d pending credits but is not credit-active", r.id, oi, op.creditQ.len())
-			}
 		}
 	}
 	return nil

@@ -17,12 +17,13 @@ type packet struct {
 
 // flit is one flow-control unit of a packet.
 type flit struct {
-	pkt *packet
-	seq int32
+	pkt  *packet
+	seq  int32
+	tail bool // last flit of its packet
 }
 
 func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return int(f.seq) == f.pkt.flits-1 }
+func (f flit) isTail() bool { return f.tail }
 
 // bufEntry is a buffered flit plus the cycle it becomes eligible for switch
 // allocation (modeling the router pipeline stages ahead of ST).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"explink/internal/model"
 	"explink/internal/route"
@@ -41,6 +42,7 @@ type netShared struct {
 	totOut, totIn     int
 	totBuf            int
 	maxIn, maxOut     int
+	maxLatency        int       // longest link: sizes the timing wheels
 	rowOutTab         [][]int32 // rowOutTab[id][col] = out port to row neighbor, -1 none
 	colOutTab         [][]int32
 	routeXY, routeYX  []int32 // flattened dst->outPort tables, nil over the size cutoff
@@ -122,6 +124,9 @@ func newShared(cfg Config) (*netShared, error) {
 			sh.outCount[id]++
 			sh.inCount[dst]++
 		}
+	}
+	for _, lr := range sh.links {
+		sh.maxLatency = max(sh.maxLatency, lr.length)
 	}
 	vcs := cfg.VCs
 	sh.depthOf = make([]int, routers)
@@ -231,10 +236,10 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	inStore := make([]inPort, sh.totIn)
 	vcStore := make([]vcState, sh.totIn*vcs)
 	bufStore := make([]bufEntry, sh.totBuf)
-	credStore := make([]int, sh.totOut*vcs)
+	s.cred = make([]int, (sh.totOut+sh.nodes)*vcs) // output ports, then NIs
 	holdStore := negOnes(sh.totOut * vcs)
 	niStore := make([]nodeIface, sh.nodes)
-	niCredStore := make([]int, sh.nodes*vcs)
+	niCred := sh.totOut * vcs
 
 	s.routers = make([]*router, routers)
 	s.nis = make([]*nodeIface, sh.nodes)
@@ -284,15 +289,17 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 			vcOff += vcs
 			bufs := bufStore[bufOff : bufOff+vcs*depth]
 			bufOff += vcs * depth
-			var ni *nodeIface
+			var upCred int
+			var upLat int64 // channel inputs are wired with their upstream port below
 			if pi < k {
 				core := id*k + pi
-				ni = &niStore[core]
+				ni := &niStore[core]
+				base := niCred + core*vcs
 				*ni = nodeIface{
 					id:       core,
 					rng:      stats.NewRNG(stats.MixSeed(seed, uint64(core))),
 					curVC:    -1,
-					credits:  niCredStore[core*vcs : (core+1)*vcs : (core+1)*vcs],
+					credits:  s.cred[base : base+vcs : base+vcs],
 					injector: r,
 					inPort:   pi,
 				}
@@ -300,37 +307,38 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 					ni.credits[v] = depth
 				}
 				s.nis[core] = ni
+				upCred, upLat = base, 1 // credits return over the one-cycle local link
 			}
-			r.in[pi] = makeInPort(vcl, bufs, depth, 0, ni)
+			r.in[pi] = makeInPort(vcl, bufs, depth, upCred, upLat)
 		}
-	}
-	for li := range sh.links {
-		lr := &sh.links[li]
-		s.routers[lr.dst].in[lr.dstPort].upLatency = int64(lr.length)
 	}
 
 	// Wire credit returns and credit counters now that both sides exist, and
-	// size ejection ports.
+	// size ejection ports. Every VC starts free.
 	credOff := 0
 	for id := 0; id < routers; id++ {
 		r := s.routers[id]
 		for oi := range r.out {
 			op := &r.out[oi]
-			op.credits = credStore[credOff : credOff+vcs : credOff+vcs]
+			op.credits = s.cred[credOff : credOff+vcs : credOff+vcs]
 			op.holder = holdStore[credOff : credOff+vcs : credOff+vcs]
-			credOff += vcs
+			op.free = uint64(1)<<uint(vcs) - 1
 			if op.isEject {
 				for v := range op.credits {
-					op.credits[v] = 1 << 30 // the NI sink never backpressures
+					// The NI sink never backpressures: ejection spends no
+					// credit, so the counter stays positive forever.
+					op.credits[v] = 1 << 30
 				}
+				credOff += vcs
 				continue
 			}
-			dst := op.ch.dst
-			dstIn := &dst.in[op.ch.dstPort]
-			dstIn.upOut = op
+			dstIn := &op.ch.dst.in[op.ch.dstPort]
+			dstIn.upCred = credOff
+			dstIn.upLatency = op.ch.latency
 			for v := range op.credits {
 				op.credits[v] = dstIn.vcs[v].fifo.cap()
 			}
+			credOff += vcs
 		}
 	}
 
@@ -341,12 +349,21 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	s.inCand = make([]int, sh.maxIn)
 	s.outReq = make([]int, 0, sh.maxOut)
 	s.vcMask = uint64(1)<<uint(vcs) - 1 // VCs <= 64 enforced by normalize
-	s.chAct = make([]uint64, (len(sh.links)+63)/64)
 	s.rtrAct = make([]uint64, (routers+63)/64)
 	s.niAct = make([]uint64, (sh.nodes+63)/64)
-	s.creditOuts = make([]*outPort, 0, sh.totOut)
-	s.creditNIs = make([]*nodeIface, 0, sh.nodes)
 	s.pktFree = make([]*packet, 0, 64)
+
+	// Timing wheels: a flit is due 1+latency cycles after its grant, a
+	// credit latency cycles after it. step reads a slot every wheelMask+1
+	// cycles, so with more slots than the longest latency the first read of
+	// an event's slot after its grant is its due cycle (at exactly
+	// latency+1 slots a flit lands in the slot step has just cleared). The
+	// NI link's one cycle is the floor.
+	slots := 1 << bits.Len(uint(max(sh.maxLatency, 1)))
+	s.wheelMask = int64(slots - 1)
+	s.credWheel = make([][]int32, slots)
+	s.chWords = (len(sh.links) + 63) / 64
+	s.dueWheel = make([]uint64, slots*s.chWords)
 
 	if cfg.Audit {
 		s.audit = newAuditor(s)
@@ -355,8 +372,8 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	return s
 }
 
-func makeInPort(vcl []vcState, bufs []bufEntry, depth int, upLat int64, ni *nodeIface) inPort {
-	ip := inPort{vcs: vcl, upLatency: upLat, ni: ni}
+func makeInPort(vcl []vcState, bufs []bufEntry, depth, upCred int, upLat int64) inPort {
+	ip := inPort{vcs: vcl, upCred: upCred, upLatency: upLat}
 	for v := range ip.vcs {
 		ip.vcs[v] = vcState{
 			fifo:    vcFIFO{buf: bufs[v*depth : (v+1)*depth : (v+1)*depth]},

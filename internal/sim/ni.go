@@ -12,26 +12,18 @@ type nodeIface struct {
 	id  int
 	rng *stats.RNG
 
-	srcQ         flitRing
-	curVC        int // VC carrying the packet currently streaming, -1 if none
-	credits      []int
-	creditQ      credRing
-	injector     *router
-	inPort       int  // index of the injection inPort on the router
-	creditActive bool // on the simulator's pending-credit work list
+	srcQ     flitRing
+	curVC    int   // VC carrying the packet currently streaming, -1 if none
+	credits  []int // free injection-buffer slots per VC (a window of Simulator.cred)
+	injector *router
+	inPort   int // index of the injection inPort on the router
 }
 
 func (ni *nodeIface) queued() int { return ni.srcQ.len() }
 
 func (ni *nodeIface) pushFlits(p *packet) {
 	for s := 0; s < p.flits; s++ {
-		ni.srcQ.push(flit{pkt: p, seq: int32(s)})
-	}
-}
-
-func (ni *nodeIface) drainCredits(now int64) {
-	for ni.creditQ.len() > 0 && ni.creditQ.front().at <= now {
-		ni.credits[ni.creditQ.popFront().vc]++
+		ni.srcQ.push(flit{pkt: p, seq: int32(s), tail: s == p.flits-1})
 	}
 }
 
@@ -68,7 +60,10 @@ func (ni *nodeIface) inject(now int64, s *Simulator) (flit, bool) {
 	if f.isTail() {
 		ni.curVC = -1
 	}
+	if f.isHead() {
+		f.pkt.injected = now + 1
+	}
 	// One-cycle local link into the router's injection buffer.
-	s.deliverFlit(ni.injector, ni.inPort, delivery{at: now + 1, f: f, vc: vc}, now+1)
+	s.deliverFlit(ni.injector, ni.inPort, delivery{f: f, vc: int32(vc)}, now+1)
 	return f, true
 }

@@ -68,7 +68,7 @@ func EnableMetrics(reg *obs.Registry) {
 		runTime:        reg.Timer("sim_run", "simulation run wall time"),
 		watchdogArmed:  reg.Counter("sim_deadlock_watchdog_armed_total", "stall episodes that crossed half the deadlock timeout"),
 		watchdogFired:  reg.Counter("sim_deadlock_watchdog_fired_total", "deadlock detector firings"),
-		activeChannels: reg.Gauge("sim_active_channels", "channels on the active set at last publish"),
+		activeChannels: reg.Gauge("sim_active_channels", "channels holding flits at last publish"),
 		activeRouters:  reg.Gauge("sim_active_routers", "routers on the active set at last publish"),
 		activeNIs:      reg.Gauge("sim_active_nis", "NIs on the active set at last publish"),
 		inFlight:       reg.Gauge("sim_in_flight_flits", "flits inside routers and channels at last publish"),
@@ -86,6 +86,17 @@ func popcount(words []uint64) int64 {
 	var n int64
 	for _, w := range words {
 		n += int64(bits.OnesCount64(w))
+	}
+	return n
+}
+
+// busyChannels counts the channels with at least one flit on the wire.
+func (s *Simulator) busyChannels() int64 {
+	var n int64
+	for _, ch := range s.channels {
+		if ch.q.len() > 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -123,7 +134,7 @@ func (s *Simulator) publishObs() {
 	m.pktsDelivered.Add(s.counts.PacketsEjected - s.pubCounts.PacketsEjected)
 	s.pubCounts = s.counts
 
-	m.activeChannels.Set(popcount(s.chAct))
+	m.activeChannels.Set(s.busyChannels())
 	m.activeRouters.Set(popcount(s.rtrAct))
 	m.activeNIs.Set(popcount(s.niAct))
 	m.inFlight.Set(s.inFlightFlits)

@@ -16,7 +16,7 @@ const (
 	ringShrinkCap = 2048
 )
 
-// The three ring types below are one growable circular FIFO with a
+// The two ring types below are one growable circular FIFO with a
 // power-of-two backing array, stamped out per element type. The zero value
 // is ready to use; the first push allocates ringInitCap slots, and popped
 // slots are zeroed so queued packet references don't outlive the flit. They
@@ -52,9 +52,6 @@ func (r *delivRing) grow() {
 	r.buf, r.head = nb, 0
 }
 
-// front returns the oldest element; only valid when len() > 0.
-func (r *delivRing) front() *delivery { return &r.buf[r.head] }
-
 // at returns the i-th queued element in FIFO order without popping it; only
 // valid for i < len(). Used by the invariant auditor to count in-flight
 // entries without disturbing the queue.
@@ -73,54 +70,6 @@ func (r *delivRing) popFront() delivery {
 func (r *delivRing) shrinkIfDrained() {
 	if r.n == 0 && len(r.buf) > ringShrinkCap {
 		r.buf = make([]delivery, ringInitCap)
-		r.head = 0
-	}
-}
-
-type credRing struct {
-	buf  []creditEvt
-	head int
-	n    int
-}
-
-func (r *credRing) len() int { return r.n }
-
-func (r *credRing) push(v creditEvt) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-func (r *credRing) grow() {
-	if len(r.buf) == 0 {
-		r.buf = make([]creditEvt, ringInitCap)
-		return
-	}
-	nb := make([]creditEvt, len(r.buf)*2)
-	m := copy(nb, r.buf[r.head:])
-	copy(nb[m:], r.buf[:r.head])
-	r.buf, r.head = nb, 0
-}
-
-func (r *credRing) front() *creditEvt { return &r.buf[r.head] }
-
-// at returns the i-th queued element in FIFO order without popping it; only
-// valid for i < len(). Used by the invariant auditor.
-func (r *credRing) at(i int) *creditEvt { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-func (r *credRing) popFront() creditEvt {
-	v := r.buf[r.head]
-	r.buf[r.head] = creditEvt{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-func (r *credRing) shrinkIfDrained() {
-	if r.n == 0 && len(r.buf) > ringShrinkCap {
-		r.buf = make([]creditEvt, ringInitCap)
 		r.head = 0
 	}
 }

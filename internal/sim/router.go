@@ -5,27 +5,18 @@ package sim
 // round-robin VC and switch allocators, and credit-based wormhole flow
 // control. Express topologies simply give routers more, narrower ports.
 
+// delivery is one flit on a channel wire, tagged with the downstream VC it
+// was allocated. Its due cycle is not stored: the grant that sent it set the
+// channel's bit in the simulator's due wheel at that cycle.
 type delivery struct {
-	at int64
 	f  flit
-	vc int
-}
-
-type creditEvt struct {
-	at int64
-	vc int
+	vc int32
 }
 
 // channel is one directed network link. Express channels have latency equal
 // to their Manhattan length (they are segmented into unit-length repeatered
 // wires, Section 2.2).
 type channel struct {
-	// nextAt caches the front delivery's due time while the queue is
-	// non-empty (pushes carry monotonically increasing due times, so the
-	// front only changes on push-to-empty and pop). The delivery phase
-	// checks it instead of touching the ring storage of channels whose
-	// flits are still in flight.
-	nextAt   int64
 	latency  int64
 	lenUnits int64
 	idx      int // position in Simulator.channels: the deterministic delivery order
@@ -33,48 +24,20 @@ type channel struct {
 	dst      *router
 	dstPort  int
 	flits    int64     // total flits carried (utilization accounting)
-	q        delivRing // FIFO ordered by delivery time
+	q        delivRing // FIFO of flits on the wire, oldest (next due) first
 }
-
-func (ch *channel) push(d delivery) {
-	if ch.q.len() == 0 {
-		ch.nextAt = d.at
-	}
-	ch.q.push(d)
-}
-
-// popReady removes and returns the next flit due at or before now.
-func (ch *channel) popReady(now int64) (delivery, bool) {
-	if ch.q.len() == 0 || ch.q.front().at > now {
-		return delivery{}, false
-	}
-	d := ch.q.popFront()
-	if ch.q.len() > 0 {
-		ch.nextAt = ch.q.front().at
-	}
-	return d, true
-}
-
-func (ch *channel) inFlight() int { return ch.q.len() }
 
 // outPort is one router output: either a network channel or the ejection
 // port to the local NI.
 type outPort struct {
-	ch           *channel // nil for the ejection port
-	isEject      bool
-	credits      []int   // free downstream buffer slots per VC
-	holder       []int32 // which input VC holds each output VC: inPort<<16|vc, -1 free
-	creditQ      credRing
-	rrIn         int  // round-robin pointer for the output stage of the allocator
-	rrVC         int  // round-robin pointer for VC allocation
-	reqd         bool // nominated this cycle; cleared during the grant pass
-	creditActive bool // on the simulator's pending-credit work list
-}
-
-func (o *outPort) drainCredits(now int64) {
-	for o.creditQ.len() > 0 && o.creditQ.front().at <= now {
-		o.credits[o.creditQ.popFront().vc]++
-	}
+	ch      *channel // nil for the ejection port
+	isEject bool
+	credits []int   // free downstream buffer slots per VC (a window of Simulator.cred)
+	holder  []int32 // which input VC holds each output VC: inPort<<16|vc, -1 free
+	free    uint64  // bit v set iff holder[v] < 0: the VCs VC allocation may take
+	rrIn    int     // round-robin pointer for the output stage of the allocator
+	rrVC    int     // round-robin pointer for VC allocation
+	reqd    bool    // nominated this cycle; cleared during the grant pass
 }
 
 // vcState is one virtual channel of an input port: its flit FIFO plus the
@@ -92,11 +55,13 @@ type vcState struct {
 // inPort is one router input: the injection port (from the local NI) or the
 // receiving end of a network channel.
 type inPort struct {
-	vcs       []vcState
-	upOut     *outPort // upstream output port for credit returns (nil if injection)
+	vcs []vcState
+	// upCred indexes the upstream credit counter of VC 0 in Simulator.cred
+	// (the feeding output port's, or the NI's for an injection port), and
+	// upLatency is how many cycles a credit return takes to reach it.
+	upCred    int
 	upLatency int64
-	ni        *nodeIface // non-nil for the injection port
-	rrVC      int        // round-robin pointer for the input stage of the allocator
+	rrVC      int // round-robin pointer for the input stage of the allocator
 	// occ has bit v set iff vcs[v] holds at least one flit; the allocator
 	// iterates set bits instead of scanning every VC. pend (a subset of occ)
 	// has bit v set iff the front flit of vcs[v] still needs route

@@ -352,6 +352,52 @@ func TestAuditDetectsFlitLoss(t *testing.T) {
 	}
 }
 
+// auditFailure runs one audit sweep over a deliberately corrupted engine and
+// returns the *AuditError it must fail with.
+func auditFailure(t *testing.T, s *Simulator) *AuditError {
+	t.Helper()
+	err := s.audit.check(s.now)
+	if !errors.Is(err, ErrAudit) {
+		t.Fatalf("err = %v, want ErrAudit", err)
+	}
+	var ae *AuditError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err %T does not unwrap to *AuditError", err)
+	}
+	return ae
+}
+
+// TestAuditDetectsDueWheelFault clears one scheduled arrival from the due
+// wheel, which would strand its flit on the channel forever, and checks the
+// active-set sweep names the channel.
+func TestAuditDetectsDueWheelFault(t *testing.T) {
+	s := auditSim(t)
+	for i, w := range s.dueWheel {
+		if w == 0 {
+			continue
+		}
+		s.dueWheel[i] = w & (w - 1)
+		ae := auditFailure(t, s)
+		if ae.Invariant != "active-set" || !strings.Contains(ae.Detail, "due wheel") {
+			t.Fatalf("got %v, want an active-set violation naming the due wheel", ae)
+		}
+		return
+	}
+	t.Fatal("no flit on any channel: the due wheel is empty")
+}
+
+// TestAuditDetectsFreeMaskFault flips one bit of an output port's free-VC
+// mask, which would let VC allocation hand out a held VC (or never grant a
+// free one), and checks the free-mask sweep names the port.
+func TestAuditDetectsFreeMaskFault(t *testing.T) {
+	s := auditSim(t)
+	s.routers[5].out[0].free ^= 1
+	ae := auditFailure(t, s)
+	if ae.Invariant != "free-vc-mask" || !strings.Contains(ae.Detail, "router 5 out[0] vc0") {
+		t.Fatalf("got %v, want a free-vc-mask violation naming router 5 out[0] vc0", ae)
+	}
+}
+
 // TestRunStopsOnAuditViolation checks the Run-level plumbing: a violation
 // mid-run truncates the simulation with TruncatedAudit and surfaces the
 // typed error, rather than silently producing numbers from a corrupt engine.

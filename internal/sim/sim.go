@@ -78,21 +78,33 @@ type Simulator struct {
 	vcMask uint64 // low cfg.VCs bits set; masks rotated occupancy words
 
 	// Active-set bitmaps. Each tracks exactly the components that can make
-	// progress — channels holding flits, routers with occupied buffers, NIs
-	// with queued flits — so step touches only those instead of scanning
-	// every component each cycle. Bit i of word w covers component index
-	// w*64+i, and scanning words in order visits components in ascending
-	// index order, which is observable: delivery order decides
-	// pipeline-bypass hits and packet-id assignment, and ejection order
-	// decides the float accumulation order of the collectors. Activation is
-	// an idempotent bit set; a component leaves when a step phase finds it
-	// drained. Credit drains only touch their own counters, so the two
-	// credit work lists are plain unordered slices.
-	chAct      []uint64
-	rtrAct     []uint64
-	niAct      []uint64
-	creditOuts []*outPort
-	creditNIs  []*nodeIface
+	// progress — routers with occupied buffers, NIs with queued flits — so
+	// step touches only those instead of scanning every component each
+	// cycle. Bit i of word w covers component index w*64+i, and scanning
+	// words in order visits components in ascending index order, which is
+	// observable: injection order decides pipeline-bypass hits, and router
+	// order decides ejection order and so the float accumulation order of
+	// the collectors. Activation is an idempotent bit set; a component
+	// leaves when a step phase finds it drained.
+	rtrAct []uint64
+	niAct  []uint64
+
+	// Timing wheels. Every future event a grant causes comes due a fixed
+	// number of cycles later — a credit return after the input link's
+	// latency, a flit arrival after one ST cycle plus the channel's latency
+	// — so both wheels have wheelMask+1 slots, more than the longest link
+	// latency, and slot t&wheelMask holds what comes due at cycle t.
+	//
+	// cred holds every credit counter: each output port's per-VC window
+	// (op.credits), then each NI's (ni.credits). credWheel[slot] lists the
+	// cred indices that gain one credit in that cycle; their order does not
+	// matter. dueWheel[slot*chWords:][:chWords] is a bitmap over channel
+	// indices of the channels whose oldest flit arrives in that cycle.
+	cred      []int
+	credWheel [][]int32
+	dueWheel  []uint64
+	chWords   int
+	wheelMask int64
 
 	// pktFree recycles packet objects: a packet returns to the list when its
 	// tail flit ejects (after all statistics are recorded), and generate /
@@ -269,67 +281,38 @@ func (s *Simulator) result(drained bool) Result {
 // switch. All effects of phase 3 land at strictly later cycles, so the
 // sequential router order cannot leak same-cycle causality.
 //
-// Each phase walks an active-set work list instead of every component; the
-// lists hold exactly the components the replaced full scans would have found
-// work at, in the same order, so results are bit-identical (see DESIGN.md §5).
+// Phase 1 reads this cycle's slot of the two timing wheels; phases 2 and 3
+// walk active-set work lists instead of every component. Both visit exactly
+// the components the replaced full scans would have found work at, in the
+// same order, so results are bit-identical (see DESIGN.md §5).
 func (s *Simulator) step() {
 	now := s.now
+	slot := now & s.wheelMask
 
-	// Flit deliveries due now, in channel-index order. Grants activate
-	// channels for the next cycle; a channel's bit clears when it empties.
-	// No delivery pushes onto a channel, so snapshotting each word is safe.
-	// Channels whose earliest flit is still mid-wire keep their bit but
-	// skip the ring entirely (nextAt caches the front's due time).
-	for wi, w := range s.chAct {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			w &= w - 1
-			ch := s.channels[wi<<6+tz]
-			if ch.nextAt > now {
-				continue
-			}
-			for {
-				d, ok := ch.popReady(now)
-				if !ok {
-					break
-				}
-				s.deliverFlit(ch.dst, ch.dstPort, d, now)
-			}
-			if ch.q.len() == 0 {
-				s.chAct[wi] &^= 1 << uint(tz)
-				ch.q.shrinkIfDrained()
-			}
+	// Flit deliveries due now, in channel-index order: delivery order
+	// decides pipeline-bypass hits, and through them every later cycle. A
+	// channel sends at most one flit per cycle over a fixed latency, so each
+	// set bit is exactly its oldest flit. Words are cleared as they are
+	// read; grants later this cycle may set bits of this slot again (due
+	// wheelMask+1 cycles from now), and no delivery sets any.
+	due := s.dueWheel[int(slot)*s.chWords:][:s.chWords]
+	for wi, w := range due {
+		if w == 0 {
+			continue
+		}
+		due[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			ch := s.channels[wi<<6+bits.TrailingZeros64(w)]
+			s.deliverFlit(ch.dst, ch.dstPort, ch.q.popFront(), now)
+			ch.q.shrinkIfDrained()
 		}
 	}
 
-	// Credit returns due now. Each drain only increments its own credit
-	// counters, so these lists are unordered; a queue leaves when empty.
-	outs := s.creditOuts
-	live := 0
-	for _, op := range outs {
-		op.drainCredits(now)
-		if op.creditQ.len() > 0 {
-			outs[live] = op
-			live++
-		} else {
-			op.creditActive = false
-			op.creditQ.shrinkIfDrained()
-		}
+	// Credit returns due now; each only increments its own counter.
+	for _, i := range s.credWheel[slot] {
+		s.cred[i]++
 	}
-	s.creditOuts = outs[:live]
-	cnis := s.creditNIs
-	live = 0
-	for _, ni := range cnis {
-		ni.drainCredits(now)
-		if ni.creditQ.len() > 0 {
-			cnis[live] = ni
-			live++
-		} else {
-			ni.creditActive = false
-			ni.creditQ.shrinkIfDrained()
-		}
-	}
-	s.creditNIs = cnis[:live]
+	s.credWheel[slot] = s.credWheel[slot][:0]
 
 	// Traffic generation. Every NI draws its injection coin every cycle —
 	// the per-cycle, per-NI RNG order is part of the bit-identity contract,
@@ -406,25 +389,6 @@ func (s *Simulator) takePacket() *packet {
 func (s *Simulator) enqueue(ni *nodeIface, p *packet) {
 	ni.pushFlits(p)
 	s.niAct[uint(ni.id)>>6] |= 1 << (uint(ni.id) & 63)
-}
-
-// queueCredit schedules a credit return on an upstream output port and puts
-// the port on the pending-credit work list.
-func (s *Simulator) queueCredit(op *outPort, e creditEvt) {
-	op.creditQ.push(e)
-	if !op.creditActive {
-		op.creditActive = true
-		s.creditOuts = append(s.creditOuts, op)
-	}
-}
-
-// queueNICredit schedules a credit return to an NI injection queue.
-func (s *Simulator) queueNICredit(ni *nodeIface, e creditEvt) {
-	ni.creditQ.push(e)
-	if !ni.creditActive {
-		ni.creditActive = true
-		s.creditNIs = append(s.creditNIs, ni)
-	}
 }
 
 // generate creates one packet at the NI per the traffic pattern and mix.
@@ -512,9 +476,6 @@ func (s *Simulator) deliverFlit(r *router, port int, d delivery, arrival int64) 
 	r.wakeAt = 0 // a new arrival invalidates any cached no-op window
 	s.rtrAct[uint(r.id)>>6] |= 1 << (uint(r.id) & 63)
 	s.counts.BufferWrites++
-	if d.f.isHead() && ip.ni != nil && d.f.pkt.injected < 0 {
-		d.f.pkt.injected = arrival
-	}
 }
 
 // routerCycle performs route computation, VC allocation and switch
@@ -556,7 +517,7 @@ func (s *Simulator) routerCycle(r *router) {
 					return
 				}
 				op := &r.out[vc.outPort]
-				if op.isEject || op.credits[vc.outVC] > 0 {
+				if op.credits[vc.outVC] > 0 {
 					op.rrIn = pi + 1
 					if op.rrIn == len(r.in) {
 						op.rrIn = 0
@@ -609,7 +570,7 @@ func (s *Simulator) routerCycle(r *router) {
 				continue
 			}
 			op := &r.out[vc.outPort]
-			if !op.isEject && op.credits[vc.outVC] <= 0 {
+			if op.credits[vc.outVC] <= 0 {
 				sleepOK = false
 				continue
 			}
@@ -641,7 +602,7 @@ func (s *Simulator) routerCycle(r *router) {
 				continue
 			}
 			op := &r.out[vc.outPort]
-			if !op.isEject && op.credits[vc.outVC] <= 0 {
+			if op.credits[vc.outVC] <= 0 {
 				sleepOK = false
 				continue
 			}
@@ -709,25 +670,28 @@ func (s *Simulator) routeAndAllocVC(r *router, ip *inPort, pi, vi int, vc *vcSta
 		}
 	}
 	if vc.outPort >= 0 && vc.outVC < 0 {
+		// The first free VC of the packet's class in (rrVC+k) mod span
+		// order: rotating the class's free bits right by rrVC makes
+		// trailing-zero order equal to that order.
 		op := &r.out[vc.outPort]
 		lo, hi := s.vcClass(fe.f.pkt.yx)
-		span := hi - lo
-		for k := 0; k < span; k++ {
-			cand := op.rrVC + k
+		span, rr := uint(hi-lo), uint(op.rrVC)
+		spanMask := uint64(1)<<span - 1
+		if m := op.free >> uint(lo) & spanMask; m != 0 {
+			k := uint(bits.TrailingZeros64((m>>rr | m<<(span-rr)) & spanMask))
+			cand := rr + k
 			if cand >= span {
 				cand -= span
 			}
-			cand += lo
-			if op.holder[cand] < 0 {
-				op.holder[cand] = int32(pi)<<16 | int32(vi)
-				vc.outVC = int32(cand)
-				op.rrVC = cand - lo + 1
-				if op.rrVC == span {
-					op.rrVC = 0
-				}
-				s.counts.VCAllocs++
-				break
+			v := uint(lo) + cand
+			op.holder[v] = int32(pi)<<16 | int32(vi)
+			op.free &^= 1 << v
+			vc.outVC = int32(v)
+			op.rrVC = int(cand) + 1
+			if op.rrVC == int(span) {
+				op.rrVC = 0
 			}
+			s.counts.VCAllocs++
 		}
 	}
 	if vc.outVC >= 0 {
@@ -767,14 +731,11 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 		s.onGrant(now, r.id, pi, vi, f)
 	}
 
-	// Credit back to whoever feeds this input buffer.
-	if ip.upOut != nil {
-		s.queueCredit(ip.upOut, creditEvt{at: now + ip.upLatency, vc: vi})
-		s.counts.CreditsSent++
-	} else if ip.ni != nil {
-		s.queueNICredit(ip.ni, creditEvt{at: now + 1, vc: vi})
-		s.counts.CreditsSent++
-	}
+	// Credit back to whoever feeds this input buffer, due once it has
+	// crossed the input link.
+	cs := (now + ip.upLatency) & s.wheelMask
+	s.credWheel[cs] = append(s.credWheel[cs], int32(ip.upCred+vi))
+	s.counts.CreditsSent++
 
 	op := &r.out[vc.outPort]
 	if op.isEject {
@@ -786,15 +747,18 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 				s.audit.noteGrant(now, r, op, f.pkt)
 			}
 		}
+		ch := op.ch
 		op.credits[vc.outVC]--
-		op.ch.push(delivery{at: now + 1 + op.ch.latency, f: f, vc: int(vc.outVC)})
-		s.chAct[uint(op.ch.idx)>>6] |= 1 << (uint(op.ch.idx) & 63)
-		op.ch.flits++
-		s.counts.LinkFlitUnits += op.ch.lenUnits
+		ch.q.push(delivery{f: f, vc: vc.outVC})
+		due := int((now+1+ch.latency)&s.wheelMask)*s.chWords + ch.idx>>6
+		s.dueWheel[due] |= 1 << (uint(ch.idx) & 63)
+		ch.flits++
+		s.counts.LinkFlitUnits += ch.lenUnits
 	}
 
 	if f.isTail() {
 		op.holder[vc.outVC] = -1
+		op.free |= 1 << uint(vc.outVC)
 		vc.outPort, vc.outVC = -1, -1
 	}
 }
@@ -871,7 +835,7 @@ func (s *Simulator) Now() int64 { return s.now }
 func (s *Simulator) DebugString() string {
 	chFlits := 0
 	for _, ch := range s.channels {
-		chFlits += ch.inFlight()
+		chFlits += ch.q.len()
 	}
 	return fmt.Sprintf("sim{%s %dx%d routers=%d channels=%d width=%db cycle=%d inflight=%d chflits=%d}",
 		s.cfg.Topo.Name, s.w, s.h, len(s.routers), len(s.channels), s.cfg.WidthBits, s.now, s.inFlightFlits, chFlits)

@@ -102,17 +102,58 @@ func BenchmarkRun4x4UR(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSat8x8 measures a whole saturated simulation (New+Run) at UR
+// 0.30 with the sim workload's 1000/4000/16000 phases: the run that sets
+// that workload's tail latency.
+func BenchmarkRunSat8x8(b *testing.B) {
+	run := func(b *testing.B, tp topo.Topology, c int) {
+		cfg := sim.NewConfig(tp, c, traffic.UniformRandom(8), 0.30)
+		cfg.Seed = 1
+		cfg.Warmup, cfg.Measure, cfg.Drain = 1000, 4000, 16000
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := sim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("mesh", func(b *testing.B) { run(b, topo.Mesh(8), 1) })
+	dcsa, c := dcsaTopo8(b)
+	b.Run("dcsa", func(b *testing.B) { run(b, dcsa, c) })
+}
+
 // TestStepSteadyStateZeroAllocs pins the tentpole's allocation contract: once
-// the engine reaches steady state at a paper-typical load, stepping the
-// simulator performs zero heap allocations (packets come from the free list,
-// all queues reuse their rings). AllocsPerRun truncates, so a rare histogram
-// bucket for a newly seen latency value does not flake the assertion.
+// the engine reaches steady state, stepping the simulator performs zero heap
+// allocations (packets come from the free list, all queues reuse their rings
+// and the timing wheels' credit slots stop growing). It covers a
+// paper-typical load on the mesh and on an express placement, and the mesh
+// just below its knee, where the most events are in flight. AllocsPerRun
+// truncates, so a rare histogram bucket for a newly seen latency value does
+// not flake the assertion.
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
-	s := steadySim(t, topo.Mesh(8), 1, 0.05, 5000)
-	allocs := testing.AllocsPerRun(300, func() {
-		s.StepForTest()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state step allocates %.0f objects/cycle; want 0", allocs)
+	dcsa, c := dcsaTopo8(t)
+	for _, tc := range []struct {
+		name string
+		tp   topo.Topology
+		c    int
+		rate float64
+	}{
+		{"mesh/0.05", topo.Mesh(8), 1, 0.05},
+		{"mesh/0.25", topo.Mesh(8), 1, 0.25},
+		{"dcsa/0.05", dcsa, c, 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := steadySim(t, tc.tp, tc.c, tc.rate, 5000)
+			allocs := testing.AllocsPerRun(300, func() {
+				s.StepForTest()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state step allocates %.0f objects/cycle; want 0", allocs)
+			}
+		})
 	}
 }
