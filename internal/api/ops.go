@@ -20,6 +20,9 @@ import (
 type Op struct {
 	// Name is the op's wire name.
 	Name string
+	// Streams reports that the op reads Env.Progress: over HTTP it answers
+	// with a progress stream instead of one document.
+	Streams bool
 	// newReq returns a zero request of the op's type; run executes a
 	// decoded, normalized and validated one.
 	newReq func() request
@@ -39,7 +42,8 @@ type Env struct {
 	// Progress, when non-nil, is called once a long-running request has
 	// validated and returns the sink for its progress events. The op then
 	// writes its outcome into that stream as a terminal line and returns an
-	// empty Reply. HTTP's exp stream sets it; stdio leaves it nil.
+	// empty Reply. HTTP sets it for streaming ops (Op.Streams); stdio leaves
+	// it nil.
 	Progress func() *obs.EventWriter
 }
 
@@ -86,7 +90,7 @@ var Ops = []Op{
 		}
 		return rep, err
 	}),
-	newOp("exp", func(ctx context.Context, env Env, r *ExpRequest) (Reply, error) {
+	streaming(newOp("exp", func(ctx context.Context, env Env, r *ExpRequest) (Reply, error) {
 		var ev *obs.EventWriter
 		if env.Progress != nil {
 			ev = env.Progress()
@@ -108,7 +112,7 @@ var Ops = []Op{
 			ev.Emit("suite.result", map[string]any{"failed": res.Failed, "result": json.RawMessage(rep.Body)})
 		}
 		return Reply{}, err
-	}),
+	})),
 	newOp("pareto", func(ctx context.Context, env Env, r *ParetoRequest) (Reply, error) {
 		f, err := r.Solve(ctx, env.Store)
 		if err != nil {
@@ -134,6 +138,12 @@ func newOp[R any, P interface {
 	}
 }
 
+// streaming marks op as one that reads Env.Progress.
+func streaming(op Op) Op {
+	op.Streams = true
+	return op
+}
+
 // Lookup finds an op by wire name.
 func Lookup(name string) (Op, bool) {
 	for _, op := range Ops {
@@ -149,7 +159,13 @@ func Lookup(name string) (Op, bool) {
 // runctl.ErrConfig-typed.
 func (o Op) Run(ctx context.Context, env Env, body io.Reader) (Reply, error) {
 	req := o.newReq()
-	if err := Decode(body, req); err != nil {
+	var err error
+	if r, ok := req.(*SolveRequest); ok {
+		err = r.decodeBody(body) // Decode's result by a faster path
+	} else {
+		err = Decode(body, req)
+	}
+	if err != nil {
 		return Reply{}, err
 	}
 	req.Normalize()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 
 	"explink/internal/core"
 	"explink/internal/model"
@@ -24,11 +25,17 @@ type Solution struct {
 }
 
 // SolutionOf converts a solver result to its wire form (express links in
-// canonical order, exactly what the CLI has always printed).
+// canonical order, exactly what the CLI has always printed). A row already
+// in canonical order — every solver and store result — is shared, not
+// copied, so the Solution must be treated as read-only.
 func SolutionOf(s core.RowSolution) Solution {
+	express := s.Row.Express
+	if !slices.IsSortedFunc(express, topo.CompareSpans) {
+		express = s.Row.Canonical().Express
+	}
 	return Solution{
 		C: s.C, Width: s.Eval.Width, Head: s.Eval.Head, Ser: s.Eval.Ser,
-		Total: s.Eval.Total, Evals: s.Evals, Express: s.Row.Canonical().Express,
+		Total: s.Eval.Total, Evals: s.Evals, Express: express,
 	}
 }
 

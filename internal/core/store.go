@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,11 +101,16 @@ func (c StoreCounters) String() string {
 type PlacementStore struct {
 	dir string
 
+	// mem and inflight are keyed by the SHA-256 digest of the key preimage;
+	// its hex form (the disk file name) is derived only on a memory miss.
 	mu       sync.Mutex
-	mem      map[string]StoredPlacement
-	inflight map[string]chan struct{}
+	mem      map[digest]StoredPlacement
+	inflight map[digest]chan struct{}
 	counters StoreCounters
 }
+
+// digest is the raw content address of a key preimage.
+type digest = [sha256.Size]byte
 
 // NewPlacementStore returns a store; dir == "" keeps it memory-only, any
 // other value also persists entries under dir (created if missing). Opening
@@ -118,8 +124,8 @@ func NewPlacementStore(dir string) (*PlacementStore, error) {
 	}
 	st := &PlacementStore{
 		dir:      dir,
-		mem:      make(map[string]StoredPlacement),
-		inflight: make(map[string]chan struct{}),
+		mem:      make(map[digest]StoredPlacement),
+		inflight: make(map[digest]chan struct{}),
 	}
 	st.counters.Swept = sweepTemp(dir, tempSweepAge)
 	return st, nil
@@ -181,17 +187,19 @@ func (st *PlacementStore) Len() int {
 // once per key (concurrent callers of the same key wait and share the
 // result). A failed compute caches nothing — the error propagates to every
 // waiter and a later call retries, so a cancelled run never poisons the
-// store. The bool reports whether the result came from cache.
+// store. The bool reports whether the result came from cache. Stored
+// placements hold their express spans in canonical order, and callers share
+// the stored slice: nothing may write through it.
 func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlacement, error)) (StoredPlacement, bool, error) {
-	addr := keyAddress(key)
+	sum := sha256.Sum256([]byte(key))
 	st.mu.Lock()
 	for {
-		if sp, ok := st.mem[addr]; ok {
+		if sp, ok := st.mem[sum]; ok {
 			st.counters.Hits++
 			st.mu.Unlock()
 			return sp, true, nil
 		}
-		fl, ok := st.inflight[addr]
+		fl, ok := st.inflight[sum]
 		if !ok {
 			break
 		}
@@ -206,13 +214,15 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 	// shared -cache-dir over NFS) must stall only callers of this key, never
 	// every concurrent memory hit. Same-key callers wait on fl as usual.
 	fl := make(chan struct{})
-	st.inflight[addr] = fl
+	st.inflight[sum] = fl
 	st.mu.Unlock()
 
+	addr := hexAddress(sum)
 	if sp, ok := st.loadDisk(addr, key); ok {
+		sp = sp.canonical()
 		st.mu.Lock()
-		st.mem[addr] = sp
-		delete(st.inflight, addr)
+		st.mem[sum] = sp
+		delete(st.inflight, sum)
 		st.counters.Hits++
 		st.counters.DiskHits++
 		close(fl)
@@ -228,11 +238,12 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 
 	if err == nil {
 		st.saveDisk(addr, key, sp)
+		sp = sp.canonical()
 	}
 	st.mu.Lock()
-	delete(st.inflight, addr)
+	delete(st.inflight, sum)
 	if err == nil {
-		st.mem[addr] = sp
+		st.mem[sum] = sp
 	}
 	close(fl)
 	st.mu.Unlock()
@@ -242,10 +253,18 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 	return sp, false, nil
 }
 
-// keyAddress derives the content address (SHA-256 of the canonical key
-// preimage) used as map key and disk file name.
-func keyAddress(key string) string {
-	sum := sha256.Sum256([]byte(key))
+// canonical returns sp with its express spans in canonical order, copying
+// them only when they are not sorted already.
+func (sp StoredPlacement) canonical() StoredPlacement {
+	if !slices.IsSortedFunc(sp.Express, topo.CompareSpans) {
+		sp.Express = sp.Row().Canonical().Express
+	}
+	return sp
+}
+
+// hexAddress is the content address of a key preimage's digest: its hex
+// form, which names the key's disk file.
+func hexAddress(sum digest) string {
 	var addr [2 * sha256.Size]byte
 	hex.Encode(addr[:], sum[:])
 	return string(addr[:])

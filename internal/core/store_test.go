@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -19,6 +20,10 @@ import (
 	"explink/internal/runctl"
 	"explink/internal/stats"
 )
+
+// keyAddress is the disk address of a key preimage: the name
+// GetOrCompute gives its file.
+func keyAddress(key string) string { return hexAddress(sha256.Sum256([]byte(key))) }
 
 func quickSolver(n int) *Solver {
 	s := NewSolver(model.DefaultConfig(n))

@@ -30,6 +30,8 @@ var (
 type gate struct {
 	sem     chan struct{}
 	drainCh chan struct{}
+	// release gives a slot back; built once so admitting allocates nothing.
+	release func()
 
 	mu       sync.Mutex
 	waiting  int
@@ -44,11 +46,13 @@ func newGate(maxInflight, maxQueue int) *gate {
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
-	return &gate{
+	g := &gate{
 		sem:      make(chan struct{}, maxInflight),
 		drainCh:  make(chan struct{}),
 		maxQueue: maxQueue,
 	}
+	g.release = func() { <-g.sem }
+	return g
 }
 
 // acquire admits one unit of work, blocking in the bounded queue when every
@@ -103,8 +107,6 @@ func (g *gate) admit() (func(), error) {
 		return g.release, nil
 	}
 }
-
-func (g *gate) release() { <-g.sem }
 
 // beginDrain closes the gate; idempotent.
 func (g *gate) beginDrain() {
@@ -181,10 +183,13 @@ func newLimiter(ratePerSec float64, burst int) *limiter {
 	}
 }
 
+// enabled reports whether the limiter throttles at all (rate > 0).
+func (l *limiter) enabled() bool { return l != nil && l.rate > 0 }
+
 // allow consumes one token from key's bucket, reporting whether the request
 // is within budget. A disabled limiter (rate <= 0) always allows.
 func (l *limiter) allow(key string) bool {
-	if l == nil || l.rate <= 0 {
+	if !l.enabled() {
 		return true
 	}
 	now := l.now()

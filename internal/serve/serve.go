@@ -176,8 +176,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // dispatch is the one admission path both transports share: the per-client
 // rate limit (skipped when client is ""), the gate, the drain WaitGroup, a
 // context cancelled by the caller's or by BeginDrain, wall-time metrics
-// under label and a request.finish event. reply receives the rejection or
-// op's answer exactly once, while the request still holds its slot.
+// under label and, when events are configured, a request.finish event.
+// reply receives the rejection or op's answer exactly once, while the
+// request still holds its slot.
 func (s *Server) dispatch(ctx context.Context, label, client string, op api.Op, body io.Reader, env api.Env, reply func(api.Reply, error)) {
 	s.met.request(label)
 	err := ErrRateLimited
@@ -201,7 +202,9 @@ func (s *Server) dispatch(ctx context.Context, label, client string, op api.Op, 
 		cancel(nil)
 		release()
 		s.met.observe(label, time.Since(start))
-		s.ev.Emit("request.finish", map[string]any{"op": op.Name, "seconds": time.Since(start).Seconds()})
+		if s.ev != nil {
+			s.ev.Emit("request.finish", map[string]any{"op": op.Name, "seconds": time.Since(start).Seconds()})
+		}
 		s.wg.Done()
 	}()
 	rep, err := op.Run(ctx, env, body)
@@ -211,23 +214,43 @@ func (s *Server) dispatch(ctx context.Context, label, client string, op api.Op, 
 	reply(rep, err)
 }
 
-// handle serves one op over HTTP. The exp op streams its progress as
-// JSON lines once it has validated; its status is then committed, so its
-// outcome travels inside the stream rather than through writeReply.
+// handle serves one op over HTTP. A streaming op (exp) sends its progress
+// as JSON lines once it has validated; its status is then committed, so its
+// outcome travels inside the stream rather than through writeReply. The
+// progress hook and the client key are built only for requests that use
+// them.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request, op api.Op) {
-	streamed := false
-	env := api.Env{Store: s.store, Progress: func() *obs.EventWriter {
-		streamed = true
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		return obs.NewEventWriter(flushWriter{w})
-	}}
+	env := api.Env{Store: s.store}
+	var sp *streamProgress
+	if op.Streams {
+		sp = &streamProgress{w: w}
+		env.Progress = sp.start
+	}
+	var client string
+	if s.lim.enabled() {
+		client = clientKey(r)
+	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	s.dispatch(r.Context(), op.Name, clientKey(r), op, body, env, func(rep api.Reply, err error) {
-		if !streamed {
+	s.dispatch(r.Context(), op.Name, client, op, body, env, func(rep api.Reply, err error) {
+		if sp == nil || !sp.started {
 			writeReply(w, rep, err)
 		}
 	})
+}
+
+// streamProgress is a streaming op's progress hook over one HTTP response.
+type streamProgress struct {
+	w       http.ResponseWriter
+	started bool
+}
+
+// start commits the response as a 200 JSON-lines stream and returns its
+// event sink.
+func (p *streamProgress) start() *obs.EventWriter {
+	p.started = true
+	p.w.Header().Set("Content-Type", "application/x-ndjson")
+	p.w.WriteHeader(http.StatusOK)
+	return obs.NewEventWriter(flushWriter{p.w})
 }
 
 // writeReply answers 200 with the reply body (a partial sim result
@@ -238,12 +261,16 @@ func writeReply(w http.ResponseWriter, rep api.Reply, err error) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if len(rep.Notes) > 0 {
 		w.Header().Set("X-Explink-Sanitized", strings.Join(rep.Notes, "; "))
 	}
 	w.Write(rep.Body) // a failed write means the client is gone: no one is left to tell
 }
+
+// jsonContentType is the Content-Type of every JSON reply, shared so that
+// setting it allocates nothing; net/http only reads header values.
+var jsonContentType = []string{"application/json"}
 
 // status is the liveness word healthz and the stdio ping report.
 func (s *Server) status() string {

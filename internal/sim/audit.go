@@ -14,15 +14,19 @@ package sim
 //     event-driven engine (see DESIGN.md §5) agree with the actual buffer
 //     state, and every flit on a channel has its arrival scheduled on the due
 //     wheel, so no component with work pending can be skipped;
+//   - arrival time: every channel holds exactly the flits granted onto it
+//     whose due cycle (grant + 1 + link latency) is still ahead, so a flit
+//     delivered early or late fails even when the wheel's counts still agree;
 //   - free-VC masks: bit v of an output port's free mask is set exactly when
 //     no input VC holds output VC v;
 //   - route monotonicity: every hop moves a head flit strictly closer to its
 //     destination along the dimension order in force (X before Y under DOR,
 //     reversed for O1TURN's YX class), which excludes U-turns by construction.
 //
-// With Audit unset none of this code runs: the auditor pointer is nil, the
-// single nil check in grantSwitch is the only cost, and results are
-// bit-identical to an unaudited run (the auditor only reads engine state).
+// With Audit unset none of this code runs: the auditor pointer is nil, one
+// nil check per channel grant in grantSwitch is the only cost, and results
+// are bit-identical to an unaudited run (the auditor only reads engine
+// state).
 
 import (
 	"fmt"
@@ -42,10 +46,19 @@ type auditor struct {
 	// scheduled is scratch parallel to Simulator.channels: per channel, the
 	// arrivals set for it across all due-wheel slots.
 	scheduled []int
+	// dues is parallel to Simulator.channels: per channel, the due cycles
+	// of the flits granted onto it and not yet checked as arrived, in grant
+	// order.
+	dues [][]int64
 }
 
 func newAuditor(s *Simulator) *auditor {
-	return &auditor{s: s, inFlight: make([]int, len(s.cred)), scheduled: make([]int, len(s.channels))}
+	return &auditor{
+		s:         s,
+		inFlight:  make([]int, len(s.cred)),
+		scheduled: make([]int, len(s.channels)),
+		dues:      make([][]int64, len(s.channels)),
+	}
 }
 
 func (a *auditor) fail(now int64, invariant, format string, args ...any) error {
@@ -67,7 +80,37 @@ func (a *auditor) check(now int64) error {
 	if err := a.checkFreeMasks(now); err != nil {
 		return err
 	}
-	return a.checkActiveSets(now)
+	if err := a.checkActiveSets(now); err != nil {
+		return err
+	}
+	return a.checkArrivals(now)
+}
+
+// checkArrivals verifies that after cycle now each channel holds exactly
+// the flits whose due cycle is later: one missing arrived early, one too
+// many is late. Due cycles of a channel grow in grant order (one grant per
+// cycle over a fixed latency), so the arrived ones are a prefix.
+func (a *auditor) checkArrivals(now int64) error {
+	for _, ch := range a.s.channels {
+		d := a.dues[ch.idx]
+		arrived := 0
+		for arrived < len(d) && d[arrived] <= now {
+			arrived++
+		}
+		pending := d[arrived:]
+		switch n := ch.q.len(); {
+		case n < len(pending):
+			return a.fail(now, "arrival-time",
+				"channel %d (router %d -> %d): a flit due at cycle %d arrived early (%d flits on the wire, %d due after this cycle)",
+				ch.idx, ch.src.id, ch.dst.id, pending[0], n, len(pending))
+		case n > len(pending):
+			return a.fail(now, "arrival-time",
+				"channel %d (router %d -> %d): a flit is late (%d flits on the wire, %d due after this cycle)",
+				ch.idx, ch.src.id, ch.dst.id, n, len(pending))
+		}
+		a.dues[ch.idx] = pending
+	}
+	return nil
 }
 
 // checkFlitConservation verifies injected = queued-at-source + in-flight +
@@ -229,15 +272,21 @@ func (a *auditor) checkActiveSets(now int64) error {
 	return nil
 }
 
-// noteGrant is the grant-time route-monotonicity check: called from
-// grantSwitch (audit mode only) when a head flit crosses to a network
-// channel. Every hop must move strictly toward the destination along the
-// packet's dimension order — X fully resolved before any Y movement under
-// DOR, the reverse for O1TURN's YX class — which also excludes U-turns.
-func (a *auditor) noteGrant(now int64, r *router, op *outPort, p *packet) {
-	if a.err != nil {
-		return
+// noteGrant is called from grantSwitch (audit mode only) when a flit
+// crosses to a network channel, due at cycle due: it records the due cycle
+// for checkArrivals and, for a head flit, checks the hop.
+func (a *auditor) noteGrant(now int64, r *router, op *outPort, f flit, due int64) {
+	a.dues[op.ch.idx] = append(a.dues[op.ch.idx], due)
+	if f.isHead() && a.err == nil {
+		a.checkHop(now, r, op, f.pkt)
 	}
+}
+
+// checkHop is the grant-time route-monotonicity check. Every hop must move
+// strictly toward the destination along the packet's dimension order — X
+// fully resolved before any Y movement under DOR, the reverse for O1TURN's
+// YX class — which also excludes U-turns.
+func (a *auditor) checkHop(now int64, r *router, op *outPort, p *packet) {
 	s := a.s
 	next := op.ch.dst
 	dr := p.dst / s.k

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"testing"
@@ -384,6 +386,57 @@ func TestAuditDetectsDueWheelFault(t *testing.T) {
 		return
 	}
 	t.Fatal("no flit on any channel: the due wheel is empty")
+}
+
+// TestAuditDetectsArrivalTimeFault moves one set due bit to another slot of
+// the due wheel, so its channel's flit leaves the wire a cycle early or
+// late. The flits on each wire still equal the bits set for it, so only the
+// arrival-time sweep, which knows each flit's due cycle, can tell.
+func TestAuditDetectsArrivalTimeFault(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shift int64 // from the slot due at s.now+shift to the slot due at s.now+1-shift
+		want  string
+	}{
+		{"early", 1, "arrived early"},
+		{"late", 0, "is late"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := auditSim(t)
+			ch := -1
+			for tries := 0; ch < 0; tries++ {
+				from := int((s.now+tc.shift)&s.wheelMask) * s.chWords
+				to := int((s.now+1-tc.shift)&s.wheelMask) * s.chWords
+				for w := 0; w < s.chWords && ch < 0; w++ {
+					if movable := s.dueWheel[from+w] &^ s.dueWheel[to+w]; movable != 0 {
+						bit := movable & -movable
+						s.dueWheel[from+w] &^= bit
+						s.dueWheel[to+w] |= bit
+						ch = w<<6 + bits.TrailingZeros64(bit)
+					}
+				}
+				if ch >= 0 {
+					break
+				}
+				if tries == 1000 {
+					t.Fatal("no due bit could move in 1000 cycles")
+				}
+				s.step()
+				if err := s.audit.check(s.now); err != nil {
+					t.Fatalf("healthy engine failed audit at cycle %d: %v", s.now, err)
+				}
+				s.now++
+			}
+			if err := s.audit.check(s.now - 1); err != nil {
+				t.Fatalf("moved bit failed the audit before any flit moved: %v", err)
+			}
+			s.step()
+			ae := auditFailure(t, s)
+			if ae.Invariant != "arrival-time" || !strings.Contains(ae.Detail, fmt.Sprintf("channel %d ", ch)) || !strings.Contains(ae.Detail, tc.want) {
+				t.Fatalf("got %v, want an arrival-time violation: channel %d %s", ae, ch, tc.want)
+			}
+		})
+	}
 }
 
 // TestAuditDetectsFreeMaskFault flips one bit of an output port's free-VC

@@ -743,17 +743,18 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 	} else {
 		if f.isHead() {
 			f.pkt.hops++
-			if s.audit != nil {
-				s.audit.noteGrant(now, r, op, f.pkt)
-			}
 		}
 		ch := op.ch
 		op.credits[vc.outVC]--
 		ch.q.push(delivery{f: f, vc: vc.outVC})
-		due := int((now+1+ch.latency)&s.wheelMask)*s.chWords + ch.idx>>6
+		dueAt := now + 1 + ch.latency
+		due := int(dueAt&s.wheelMask)*s.chWords + ch.idx>>6
 		s.dueWheel[due] |= 1 << (uint(ch.idx) & 63)
 		ch.flits++
 		s.counts.LinkFlitUnits += ch.lenUnits
+		if s.audit != nil {
+			s.audit.noteGrant(now, r, op, f, dueAt)
+		}
 	}
 
 	if f.isTail() {
