@@ -238,7 +238,7 @@ func TestMeanPacketBitsAndFlits(t *testing.T) {
 	if got := MeanPacketBits(mix); math.Abs(got-(0.8*128+0.2*512)) > 1e-12 {
 		t.Fatalf("mean bits = %g", got)
 	}
-	if got := MeanFlits(mix, 256); math.Abs(got-1.2) > 1e-12 {
+	if got := Serialization(mix, 256); math.Abs(got-1.2) > 1e-12 {
 		t.Fatalf("mean flits = %g", got)
 	}
 }

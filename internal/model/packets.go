@@ -73,12 +73,3 @@ func MeanPacketBits(mix []PacketClass) float64 {
 	}
 	return s
 }
-
-// MeanFlits returns the average flits per packet at the given width.
-func MeanFlits(mix []PacketClass, widthBits int) float64 {
-	var s float64
-	for _, c := range mix {
-		s += c.Frac * float64(FlitsFor(c.Bits, widthBits))
-	}
-	return s
-}

@@ -2,9 +2,14 @@ package route
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"explink/internal/topo"
 )
+
+// relaxed, when set (by tests), accumulates the positions every sweep
+// relaxes: the work the dirty-region bookkeeping exists to save.
+var relaxed *atomic.Int64
 
 // Incremental is a stateful row evaluator for single-span move searches: the
 // simulated-annealing connection-matrix walk, the divide-and-conquer
@@ -35,7 +40,8 @@ import (
 // Moves are transactions: while one is open, every distance a sync
 // overwrites is logged with its old value, so Revert restores the matrix,
 // the running sum and the pending dirty region exactly as Update found them
-// instead of re-sweeping what the move changed.
+// (or that state synced, see sync) instead of re-sweeping what the move
+// changed.
 //
 // An Incremental is not safe for concurrent use; give each goroutine its own.
 type Incremental struct {
@@ -63,7 +69,13 @@ type Incremental struct {
 	// a sync overwrote, oldest first; moves holds one saved state per open
 	// move. movesBuf backs moves up to four deep without a heap allocation;
 	// SA and D&C open one move at a time, BnB's deeper stacks grow it.
+	//
+	// Only edits[:applied] are in the adjacency. The rest belong to the
+	// innermost open move and are applied at the next sync, nested Update or
+	// outermost Commit, so a move reverted with no query in between (an
+	// annealer memo hit) never touches the adjacency.
 	edits    []incEdit
+	applied  int
 	undo     []incUndo
 	moves    []incMove
 	movesBuf [4]incMove
@@ -126,7 +138,7 @@ func (inc *Incremental) Reset(row topo.Row) {
 	}
 	inc.n = n
 	// Open moves are discarded first, so the sweeps below log nothing.
-	inc.edits = inc.edits[:0]
+	inc.edits, inc.applied = inc.edits[:0], 0
 	inc.undo = inc.undo[:0]
 	inc.moves = inc.moves[:0]
 	if want := min(n*(n-1)/2, undoPresize); cap(inc.undo) < want {
@@ -155,7 +167,10 @@ func (inc *Incremental) Reset(row topo.Row) {
 	}
 	for i := 0; i < n; i++ {
 		inc.dist[i*n+i] = 0
-		inc.sweepRight(i, i+1, n)
+		end := inc.sweepRight(i, i+1, n)
+		if relaxed != nil {
+			relaxed.Add(int64(max(end-(i+1), 0)))
+		}
 	}
 	// The sweeps only patch entries that differ from the previous row's, so
 	// the running sum is rebuilt here rather than tracked through them.
@@ -172,28 +187,35 @@ func (inc *Incremental) Reset(row topo.Row) {
 // present, counting multiplicity) and then adds each span in added
 // (duplicates allowed, matching how connection matrices decode). The move
 // stays open until Revert undoes it or Commit keeps it; open moves close
-// strictly last-in-first-out.
+// strictly last-in-first-out. Spans outside the row panic here; the edits
+// reach the adjacency only at the next query, nested Update or outermost
+// Commit, and a removed span that is absent panics then, or at the Revert
+// that drops it unapplied.
 func (inc *Incremental) Update(removed, added []topo.Span) {
+	if inc.applied < len(inc.edits) {
+		inc.apply() // an enclosing move's edits enter the adjacency before this one opens
+	}
 	inc.moves = append(inc.moves, incMove{edits: len(inc.edits), undo: len(inc.undo), upper: inc.upper, r: inc.r})
 	for _, s := range removed {
-		inc.remove(s)
-		inc.markDirty(s)
+		inc.check(s)
 		inc.edits = append(inc.edits, incEdit{s: s, added: false})
 	}
 	for _, s := range added {
-		inc.add(s)
-		inc.markDirty(s)
+		inc.check(s)
 		inc.edits = append(inc.edits, incEdit{s: s, added: true})
 	}
 }
 
-// Revert undoes the most recent open move: it replays the move's adjacency
-// edits backwards and writes back, newest first, every distance a sync
-// overwrote since its Update, so the matrix, the running sum and the pending
-// dirty region are exactly those Update found. Nothing is re-swept.
+// Revert undoes the most recent open move: it takes back those of the move's
+// adjacency edits already applied and writes back, newest first, every
+// distance a sync overwrote since its Update, so the matrix, the running sum
+// and the pending dirty region are exactly those Update found — or, when a
+// sync inside the move first synced the dirty state Update found, that state
+// synced. Nothing is re-swept.
 func (inc *Incremental) Revert() {
 	m := inc.popMove("Revert")
-	for k := len(inc.edits) - 1; k >= m.edits; k-- {
+	inc.checkRemovals(max(inc.applied, m.edits))
+	for k := inc.applied - 1; k >= m.edits; k-- {
 		if e := inc.edits[k]; e.added {
 			inc.remove(e.s)
 		} else {
@@ -203,7 +225,7 @@ func (inc *Incremental) Revert() {
 	for k := len(inc.undo) - 1; k >= m.undo; k-- {
 		inc.dist[inc.undo[k].at] = inc.undo[k].old
 	}
-	inc.edits = inc.edits[:m.edits]
+	inc.edits, inc.applied = inc.edits[:m.edits], m.edits
 	inc.undo = inc.undo[:m.undo]
 	inc.upper, inc.r = m.upper, m.r
 }
@@ -215,9 +237,54 @@ func (inc *Incremental) Revert() {
 func (inc *Incremental) Commit() {
 	inc.popMove("Commit")
 	if len(inc.moves) == 0 {
-		inc.edits = inc.edits[:0]
+		inc.apply()
+		inc.edits, inc.applied = inc.edits[:0], 0
 		inc.undo = inc.undo[:0]
 	}
+}
+
+// checkRemovals panics if a removal logged from edit from on, none of them
+// applied, names a span the adjacency does not hold (counting multiplicity):
+// the check a Revert makes before it drops edits that never reached the
+// adjacency.
+func (inc *Incremental) checkRemovals(from int) {
+	for k, e := range inc.edits[from:] {
+		if e.added {
+			continue
+		}
+		n := 0
+		for _, to := range inc.exLeft[e.s.From] {
+			if to == e.s.To {
+				n++
+			}
+		}
+		for _, prev := range inc.edits[from : from+k] {
+			if prev.s == e.s {
+				if prev.added {
+					n++
+				} else {
+					n--
+				}
+			}
+		}
+		if n <= 0 {
+			panic(fmt.Sprintf("route: Incremental removal of absent span %v", e.s))
+		}
+	}
+}
+
+// apply brings the adjacency up to the edit log, widening the dirty region
+// over every span it changes.
+func (inc *Incremental) apply() {
+	for _, e := range inc.edits[inc.applied:] {
+		if e.added {
+			inc.add(e.s)
+		} else {
+			inc.remove(e.s)
+		}
+		inc.markDirty(e.s)
+	}
+	inc.applied = len(inc.edits)
 }
 
 func (inc *Incremental) popMove(op string) incMove {
@@ -230,13 +297,11 @@ func (inc *Incremental) popMove(op string) incMove {
 }
 
 func (inc *Incremental) add(s topo.Span) {
-	inc.check(s)
 	inc.exRight[s.To] = append(inc.exRight[s.To], s.From)
 	inc.exLeft[s.From] = append(inc.exLeft[s.From], s.To)
 }
 
 func (inc *Incremental) remove(s topo.Span) {
-	inc.check(s)
 	if !cutEdge(inc.exRight, s.To, s.From) || !cutEdge(inc.exLeft, s.From, s.To) {
 		panic(fmt.Sprintf("route: Incremental removal of absent span %v", s))
 	}
@@ -276,13 +341,39 @@ func (inc *Incremental) markDirty(s topo.Span) {
 	r.to = max(r.to, s.To)
 }
 
-// sync brings every stale distance row segment up to date with the adjacency.
+// sync applies the pending edits and brings every stale distance row
+// segment up to date with the adjacency.
+//
+// When the innermost open move has none of its edits applied yet and was
+// opened on a dirty state (a move kept without a query, such as an annealer
+// memo hit), that state is synced first, logged to the enclosing moves
+// only, and becomes the state the move's Revert restores; then the move's
+// own spans are applied and synced. Syncing the union in one sweep would log
+// the older region's repairs to the move, and a Revert would throw them away
+// for the next sync to redo.
 func (inc *Incremental) sync() {
-	if !inc.r.dirty {
-		return
+	if inc.applied < len(inc.edits) {
+		k := len(inc.moves) - 1 // pending edits belong to an open move
+		if m := &inc.moves[k]; inc.r.dirty && inc.applied == m.edits {
+			inc.moves = inc.moves[:k]
+			inc.sweepDirty()
+			inc.moves = inc.moves[:k+1]
+			m.undo, m.upper, m.r = len(inc.undo), inc.upper, inc.r
+		}
+		inc.apply()
 	}
+	if inc.r.dirty {
+		inc.sweepDirty()
+	}
+}
+
+// sweepDirty re-sweeps the pending dirty region and marks the state clean.
+func (inc *Incremental) sweepDirty() {
 	for i := 0; i <= inc.r.srcMax; i++ {
-		inc.sweepRight(i, inc.r.from, inc.r.to)
+		end := inc.sweepRight(i, inc.r.from, inc.r.to)
+		if relaxed != nil {
+			relaxed.Add(int64(max(end-max(inc.r.from, i+1), 0)))
+		}
 	}
 	inc.r.dirty = false
 }
@@ -298,8 +389,9 @@ func (inc *Incremental) sync() {
 // unaffected by pending spans, so their stored values feed the resumed
 // recurrence unchanged. The sweep stops at the first position past `barrier`
 // (the rightmost changed-span endpoint) that no changed position can still
-// reach — from there on every position reproduces its stored value.
-func (inc *Incremental) sweepRight(i, from, barrier int) {
+// reach — from there on every position reproduces its stored value. It
+// returns the position after the last one relaxed.
+func (inc *Incremental) sweepRight(i, from, barrier int) int {
 	n := inc.n
 	row := inc.dist[i*n : i*n+n]
 	cost := inc.cost
@@ -336,9 +428,10 @@ func (inc *Incremental) sweepRight(i, from, barrier int) {
 			}
 		}
 		if v >= stop {
-			return
+			return v + 1
 		}
 	}
+	return n
 }
 
 // MeanMax returns the mean and maximum directional pair distance of the

@@ -107,8 +107,10 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 // then commits if bit 6 is set and reverts if not. Moves still open at the
 // end are reverted. After every close the state, synced on a copy so the
 // pending dirty region survives for the next move, must equal a fresh Reset
-// of the decoded row, and a Revert must restore the dirty region its Update
-// found — so a move synced and then reverted leaves a clean state clean.
+// of the decoded row, and a Revert must restore the dirty region and sum its
+// Update found — so a move synced and then reverted leaves a clean state
+// clean — except that a move opened on a dirty state and synced by a query
+// reverts to that state synced: clean, with the distances checked above.
 func FuzzIncrementalUndo(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{0x00, 0x80, 0x41, 0xa0, 0x02, 0xc0})
 	f.Add(uint8(4), uint8(1), []byte{0x40, 0x41, 0x42, 0xa0, 0xe0, 0x80, 0x03, 0xc0})
@@ -154,7 +156,8 @@ func FuzzIncrementalUndo(f *testing.F) {
 					m.FlipAt(bit)
 				}
 				inc.Revert()
-				if inc.r != top.r || inc.upper != top.upper {
+				asFound := inc.r == top.r && inc.upper == top.upper
+				if !asFound && !(top.r.dirty && !inc.r.dirty) {
 					t.Fatalf("%+v step %d revert: dirty region %+v, sum %d, want %+v, %d as Update found them",
 						p, step, inc.r, inc.upper, top.r, top.upper)
 				}
@@ -187,7 +190,7 @@ func FuzzIncrementalUndo(f *testing.F) {
 				continue
 			}
 			bit := int(op&0x3f) % m.Bits()
-			open = append(open, frame{bits: []int{bit}, r: inc.r, upper: inc.upper})
+			open = append(open, frame{bits: []int{bit}, r: foundRegion(inc), upper: inc.upper})
 			rem, add = m.DeltaAt(bit, rem[:0], add[:0])
 			m.FlipAt(bit)
 			inc.Update(rem, add)
@@ -201,6 +204,16 @@ func FuzzIncrementalUndo(f *testing.F) {
 	})
 }
 
+// foundRegion is the dirty region an Update finds: the pending region
+// widened over the edits not yet applied to the adjacency.
+func foundRegion(inc *Incremental) dirtyRegion {
+	c := *inc // markDirty only writes c.r
+	for _, e := range inc.edits[inc.applied:] {
+		c.markDirty(e.s)
+	}
+	return c.r
+}
+
 // syncedCopy returns a synced deep copy of inc's current state, leaving inc
 // itself, and its pending dirty region, untouched.
 func syncedCopy(inc *Incremental) *Incremental {
@@ -211,6 +224,8 @@ func syncedCopy(inc *Incremental) *Incremental {
 		c.exRight = append(c.exRight, append([]int(nil), inc.exRight[v]...))
 		c.exLeft = append(c.exLeft, append([]int(nil), inc.exLeft[v]...))
 	}
+	c.edits = append(c.edits, inc.edits[inc.applied:]...) // edits still pending
+	c.apply()
 	c.sync()
 	return c
 }

@@ -184,8 +184,18 @@ func TestIncrementalPanics(t *testing.T) {
 	for name, fn := range map[string]func(inc *Incremental){
 		"revert without move": func(inc *Incremental) { inc.Revert() },
 		"commit without move": func(inc *Incremental) { inc.Commit() },
-		"remove absent span":  func(inc *Incremental) { inc.Update([]topo.Span{{From: 0, To: 5}}, nil) },
-		"invalid span":        func(inc *Incremental) { inc.Update(nil, []topo.Span{{From: 3, To: 2}}) },
+		// A removal reaches the adjacency at the next query or Commit, or
+		// is dropped unapplied by a Revert; each checks it.
+		"remove absent span, query":  func(inc *Incremental) { inc.Update([]topo.Span{{From: 0, To: 5}}, nil); inc.Mean() },
+		"remove absent span, commit": func(inc *Incremental) { inc.Update([]topo.Span{{From: 0, To: 5}}, nil); inc.Commit() },
+		"remove absent span, revert": func(inc *Incremental) { inc.Update([]topo.Span{{From: 0, To: 5}}, nil); inc.Revert() },
+		"remove a span twice, revert": func(inc *Incremental) {
+			inc.Update(nil, []topo.Span{{From: 0, To: 5}})
+			inc.Commit()
+			inc.Update([]topo.Span{{From: 0, To: 5}, {From: 0, To: 5}}, nil)
+			inc.Revert()
+		},
+		"invalid span": func(inc *Incremental) { inc.Update(nil, []topo.Span{{From: 3, To: 2}}) },
 	} {
 		func() {
 			defer func() {

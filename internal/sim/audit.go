@@ -18,7 +18,11 @@ package sim
 //     whose due cycle (grant + 1 + link latency) is still ahead, so a flit
 //     delivered early or late fails even when the wheel's counts still agree;
 //   - free-VC masks: bit v of an output port's free mask is set exactly when
-//     no input VC holds output VC v;
+//     no input VC holds output VC v, and no two input VCs hold the same one;
+//   - parking: every parked VC is routed, unallocated and not pending, its
+//     output has no free VC in its class (one would mean a lost re-arm), and
+//     each output's waitIn mask names exactly the input ports with a VC
+//     parked on it, so its next tail grant re-arms them all;
 //   - route monotonicity: every hop moves a head flit strictly closer to its
 //     destination along the dimension order in force (X before Y under DOR,
 //     reversed for O1TURN's YX class), which excludes U-turns by construction.
@@ -50,15 +54,22 @@ type auditor struct {
 	// of the flits granted onto it and not yet checked as arrived, in grant
 	// order.
 	dues [][]int64
+	// outMask is per-router scratch parallel to router.out: the output VCs
+	// the input VCs hold, or the waitIn masks the parked VCs imply.
+	outMask []uint64
 }
 
 func newAuditor(s *Simulator) *auditor {
-	return &auditor{
+	a := &auditor{
 		s:         s,
 		inFlight:  make([]int, len(s.cred)),
 		scheduled: make([]int, len(s.channels)),
 		dues:      make([][]int64, len(s.channels)),
 	}
+	for _, r := range s.routers {
+		a.outMask = make([]uint64, max(len(a.outMask), len(r.out)))
+	}
+	return a
 }
 
 func (a *auditor) fail(now int64, invariant, format string, args ...any) error {
@@ -78,6 +89,9 @@ func (a *auditor) check(now int64) error {
 		return err
 	}
 	if err := a.checkFreeMasks(now); err != nil {
+		return err
+	}
+	if err := a.checkParking(now); err != nil {
 		return err
 	}
 	if err := a.checkActiveSets(now); err != nil {
@@ -154,7 +168,7 @@ func (a *auditor) checkCreditConservation(now int64) error {
 	for _, r := range s.routers {
 		for oi := range r.out {
 			op := &r.out[oi]
-			if op.isEject {
+			if op.ch == nil {
 				continue // the ejection sink never backpressures
 			}
 			dstIn := &op.ch.dst.in[op.ch.dstPort]
@@ -186,23 +200,74 @@ func (a *auditor) checkCreditConservation(now int64) error {
 	return nil
 }
 
-// checkFreeMasks verifies every output port's free-VC mask against its
-// holders: bit v is set iff no input VC holds output VC v, and no bit above
-// the configured VCs is set.
+// checkFreeMasks verifies every output port's free-VC mask against the
+// input VCs allocated to it: bit v is set iff no input VC holds output VC v,
+// no output VC has two holders, and no bit above the configured VCs is set.
 func (a *auditor) checkFreeMasks(now int64) error {
 	s := a.s
 	for _, r := range s.routers {
+		held := a.outMask[:len(r.out)]
+		clear(held)
+		for pi := range r.in {
+			for vi := range r.in[pi].vcs {
+				vc := &r.in[pi].vcs[vi]
+				if vc.outVC < 0 {
+					continue
+				}
+				if held[vc.outPort]>>uint(vc.outVC)&1 == 1 {
+					return a.fail(now, "free-vc-mask",
+						"router %d out[%d] vc%d: held twice, once by in[%d] vc%d", r.id, vc.outPort, vc.outVC, pi, vi)
+				}
+				held[vc.outPort] |= 1 << uint(vc.outVC)
+			}
+		}
 		for oi := range r.out {
 			op := &r.out[oi]
 			if op.free&^s.vcMask != 0 {
 				return a.fail(now, "free-vc-mask",
-					"router %d out[%d]: free mask %b has bits beyond %d VCs", r.id, oi, op.free, len(op.holder))
+					"router %d out[%d]: free mask %b has bits beyond %d VCs", r.id, oi, op.free, s.cfg.VCs)
 			}
-			for v, h := range op.holder {
-				if free := op.free>>uint(v)&1 == 1; free != (h < 0) {
-					return a.fail(now, "free-vc-mask",
-						"router %d out[%d] vc%d: free bit %v but holder %d", r.id, oi, v, free, h)
+			if diff := op.free ^ held[oi] ^ s.vcMask; diff != 0 {
+				v := bits.TrailingZeros64(diff)
+				return a.fail(now, "free-vc-mask",
+					"router %d out[%d] vc%d: free bit %v but held %v", r.id, oi, v, op.free>>uint(v)&1 == 1, held[oi]>>uint(v)&1 == 1)
+			}
+		}
+	}
+	return nil
+}
+
+// checkParking verifies the parked VCs (inPort.wait) against their routes,
+// their outputs' free masks and the outputs' waitIn registrations.
+func (a *auditor) checkParking(now int64) error {
+	for _, r := range a.s.routers {
+		want := a.outMask[:len(r.out)]
+		clear(want)
+		for pi := range r.in {
+			ip := &r.in[pi]
+			if ip.wait&^ip.occ != 0 || ip.wait&ip.pend != 0 {
+				return a.fail(now, "parking",
+					"router %d in[%d]: parked mask %b not within occupancy %b minus pending %b", r.id, pi, ip.wait, ip.occ, ip.pend)
+			}
+			for m := ip.wait; m != 0; m &= m - 1 {
+				vi := bits.TrailingZeros64(m)
+				vc := &ip.vcs[vi]
+				if vc.outPort < 0 || vc.outVC >= 0 {
+					return a.fail(now, "parking",
+						"router %d in[%d] vc%d: parked with out port %d and out VC %d", r.id, pi, vi, vc.outPort, vc.outVC)
 				}
+				if free := r.out[vc.outPort].free >> vc.lo & (1<<(vc.hi-vc.lo) - 1); free != 0 {
+					return a.fail(now, "parking",
+						"router %d in[%d] vc%d: parked on out[%d], which has free VCs %b in its class [%d,%d)",
+						r.id, pi, vi, vc.outPort, free<<vc.lo, vc.lo, vc.hi)
+				}
+				want[vc.outPort] |= 1 << uint(pi)
+			}
+		}
+		for oi, w := range want {
+			if got := r.out[oi].waitIn; got != w {
+				return a.fail(now, "parking",
+					"router %d out[%d]: waitIn %b, but input ports %b have VCs parked on it", r.id, oi, got, w)
 			}
 		}
 	}
@@ -278,7 +343,7 @@ func (a *auditor) checkActiveSets(now int64) error {
 func (a *auditor) noteGrant(now int64, r *router, op *outPort, f flit, due int64) {
 	a.dues[op.ch.idx] = append(a.dues[op.ch.idx], due)
 	if f.isHead() && a.err == nil {
-		a.checkHop(now, r, op, f.pkt)
+		a.checkHop(now, r, op, &a.s.pkts[f.pkt])
 	}
 }
 
@@ -289,7 +354,7 @@ func (a *auditor) noteGrant(now int64, r *router, op *outPort, f flit, due int64
 func (a *auditor) checkHop(now int64, r *router, op *outPort, p *packet) {
 	s := a.s
 	next := op.ch.dst
-	dr := p.dst / s.k
+	dr := int(p.dst) / s.k
 	dx, dy := dr%s.w, dr/s.w
 	switch {
 	case next.y == r.y: // X move
@@ -347,9 +412,9 @@ func (s *Simulator) deadlockReport() string {
 					continue
 				}
 				fe := vc.fifo.front()
-				p := fe.f.pkt
+				p := &s.pkts[fe.f.pkt]
 				fmt.Fprintf(&b, "  router %d@(%d,%d) in[%d] vc%d: pkt %d (%d->%d) flit %d/%d",
-					r.id, r.x, r.y, pi, vi, p.id, p.src, p.dst, fe.f.seq+1, p.flits)
+					r.id, r.x, r.y, pi, vi, p.id, p.src, p.dst, fe.f.seq&^tailBit+1, p.flits)
 				switch {
 				case vc.outPort < 0:
 					b.WriteString(" awaiting route computation\n")

@@ -1,29 +1,32 @@
 package sim
 
-// packet is one network packet; flits reference it.
+// packet is one network packet. Packets live in the simulator's slab
+// (Simulator.pkts); flits name them by slab index.
 type packet struct {
 	id       int64
-	src, dst int
-	flits    int   // number of flits at the configured width
-	class    int   // index into Config.Mix
 	created  int64 // cycle the NI generated it
 	injected int64 // cycle the head flit entered the first router buffer
-	done     int64 // cycle the tail flit reached the destination NI
-	ejected  int   // flits delivered to the destination NI so far
-	hops     int   // router-to-router hops taken by the head flit
+	src, dst int32
+	flits    int32 // number of flits at the configured width
+	ejected  int32 // flits delivered to the destination NI so far
+	hops     int32 // router-to-router hops taken by the head flit
 	measured bool  // created inside the measurement window
 	yx       bool  // route Y-first (O1TURN's second class); false = XY
 }
 
-// flit is one flow-control unit of a packet.
+// flit is one flow-control unit: the slab index of its packet and its
+// sequence number within the packet, whose high bit (tailBit) marks the
+// packet's last flit. Eight bytes and no pointers, so the VC buffers and the
+// rings holding flits are memory the garbage collector never scans.
 type flit struct {
-	pkt  *packet
-	seq  int32
-	tail bool // last flit of its packet
+	pkt int32
+	seq uint32
 }
 
-func (f flit) isHead() bool { return f.seq == 0 }
-func (f flit) isTail() bool { return f.tail }
+const tailBit = 1 << 31
+
+func (f flit) isHead() bool { return f.seq&^tailBit == 0 }
+func (f flit) isTail() bool { return f.seq&tailBit != 0 }
 
 // bufEntry is a buffered flit plus the cycle it becomes eligible for switch
 // allocation (modeling the router pipeline stages ahead of ST).

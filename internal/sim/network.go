@@ -237,7 +237,6 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	vcStore := make([]vcState, sh.totIn*vcs)
 	bufStore := make([]bufEntry, sh.totBuf)
 	s.cred = make([]int, (sh.totOut+sh.nodes)*vcs) // output ports, then NIs
-	holdStore := negOnes(sh.totOut * vcs)
 	niStore := make([]nodeIface, sh.nodes)
 	niCred := sh.totOut * vcs
 
@@ -260,9 +259,6 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 			}
 		}
 		r.inMask = uint64(1)<<uint(sh.inCount[id]) - 1
-		for oi := 0; oi < k; oi++ {
-			r.out[oi].isEject = true
-		}
 		s.routers[id] = r
 	}
 	for li := range sh.links {
@@ -321,9 +317,8 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 		for oi := range r.out {
 			op := &r.out[oi]
 			op.credits = s.cred[credOff : credOff+vcs : credOff+vcs]
-			op.holder = holdStore[credOff : credOff+vcs : credOff+vcs]
 			op.free = uint64(1)<<uint(vcs) - 1
-			if op.isEject {
+			if op.ch == nil {
 				for v := range op.credits {
 					// The NI sink never backpressures: ejection spends no
 					// credit, so the counter stays positive forever.
@@ -351,7 +346,7 @@ func (sh *netShared) instantiate(seed uint64) *Simulator {
 	s.vcMask = uint64(1)<<uint(vcs) - 1 // VCs <= 64 enforced by normalize
 	s.rtrAct = make([]uint64, (routers+63)/64)
 	s.niAct = make([]uint64, (sh.nodes+63)/64)
-	s.pktFree = make([]*packet, 0, 64)
+	s.freePkts = make([]int32, 0, 64)
 
 	// Timing wheels: a flit is due 1+latency cycles after its grant, a
 	// credit latency cycles after it. step reads a slot every wheelMask+1

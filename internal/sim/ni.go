@@ -21,28 +21,32 @@ type nodeIface struct {
 
 func (ni *nodeIface) queued() int { return ni.srcQ.len() }
 
-func (ni *nodeIface) pushFlits(p *packet) {
-	for s := 0; s < p.flits; s++ {
-		ni.srcQ.push(flit{pkt: p, seq: int32(s), tail: s == p.flits-1})
+func (ni *nodeIface) pushFlits(pkt int32, n int) {
+	for i := 0; i < n; i++ {
+		f := flit{pkt: pkt, seq: uint32(i)}
+		if i == n-1 {
+			f.seq |= tailBit
+		}
+		ni.srcQ.push(f)
 	}
 }
 
 // inject tries to send the head flit of the source queue into the router's
-// injection buffer. It returns the sent flit and true on success. The NI
-// performs its own VC selection: a head flit claims a VC that currently has
-// buffer space; subsequent flits of the packet follow on the same VC
-// (wormhole ordering).
-func (ni *nodeIface) inject(now int64, s *Simulator) (flit, bool) {
-	if ni.srcQ.len() == 0 {
-		return flit{}, false
+// injection buffer and reports whether it did. The NI performs its own VC
+// selection: a head flit claims a VC that currently has buffer space;
+// subsequent flits of the packet follow on the same VC (wormhole ordering).
+func (ni *nodeIface) inject(now int64, s *Simulator) bool {
+	if ni.srcQ.len() == 0 || ni.curVC >= 0 && ni.credits[ni.curVC] <= 0 {
+		return false // nothing queued, or the packet streaming in is out of credits
 	}
 	f := *ni.srcQ.front()
 	if f.isHead() && ni.curVC < 0 {
 		// Claim a VC with at least one free slot from the packet's routing
 		// class, round-robin from the packet id for determinism without bias.
-		lo, hi := s.vcClass(f.pkt.yx)
+		p := &s.pkts[f.pkt]
+		lo, hi := s.vcClass(p.yx)
 		span := hi - lo
-		start := int(f.pkt.id) % span
+		start := int(p.id) % span
 		for k := 0; k < span; k++ {
 			vc := lo + (start+k)%span
 			if ni.credits[vc] > 0 {
@@ -52,7 +56,7 @@ func (ni *nodeIface) inject(now int64, s *Simulator) (flit, bool) {
 		}
 	}
 	if ni.curVC < 0 || ni.credits[ni.curVC] <= 0 {
-		return flit{}, false
+		return false
 	}
 	vc := ni.curVC
 	ni.credits[vc]--
@@ -61,9 +65,9 @@ func (ni *nodeIface) inject(now int64, s *Simulator) (flit, bool) {
 		ni.curVC = -1
 	}
 	if f.isHead() {
-		f.pkt.injected = now + 1
+		s.pkts[f.pkt].injected = now + 1
 	}
 	// One-cycle local link into the router's injection buffer.
 	s.deliverFlit(ni.injector, ni.inPort, delivery{f: f, vc: int32(vc)}, now+1)
-	return f, true
+	return true
 }

@@ -64,7 +64,7 @@ func TestRectangularExpressSim(t *testing.T) {
 	paths := model.ComputeTopoPaths(tp, p)
 	nodes := float64(tp.NumRouters())
 	meanNoDiag := paths.MeanHead() * nodes * nodes / (nodes * (nodes - 1))
-	ideal := meanNoDiag + 3 + model.MeanFlits(model.DefaultMix(), 128)
+	ideal := meanNoDiag + 3 + model.Serialization(model.DefaultMix(), 128)
 	if math.Abs(res.AvgNetLatency-ideal) > 1.0 {
 		t.Fatalf("sim %.2f vs analytic %.2f", res.AvgNetLatency, ideal)
 	}

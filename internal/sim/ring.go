@@ -18,12 +18,12 @@ const (
 
 // The two ring types below are one growable circular FIFO with a
 // power-of-two backing array, stamped out per element type. The zero value
-// is ready to use; the first push allocates ringInitCap slots, and popped
-// slots are zeroed so queued packet references don't outlive the flit. They
-// are deliberately concrete copies of one another rather than a generic
-// ring[T]: the pushes and pops run hundreds of times per simulated cycle,
-// and Go's gcshape generics compile them as out-of-line dictionary calls
-// where these monomorphic methods inline away.
+// is ready to use; the first push allocates ringInitCap slots. Elements hold
+// no pointers, so a popped slot is left as it is. They are deliberately
+// concrete copies of one another rather than a generic ring[T]: the pushes
+// and pops run hundreds of times per simulated cycle, and Go's gcshape
+// generics compile them as out-of-line dictionary calls where these
+// monomorphic methods inline away.
 
 type delivRing struct {
 	buf  []delivery
@@ -59,7 +59,6 @@ func (r *delivRing) at(i int) *delivery { return &r.buf[(r.head+i)&(len(r.buf)-1
 
 func (r *delivRing) popFront() delivery {
 	v := r.buf[r.head]
-	r.buf[r.head] = delivery{}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
@@ -105,7 +104,6 @@ func (r *flitRing) front() *flit { return &r.buf[r.head] }
 
 func (r *flitRing) popFront() flit {
 	v := r.buf[r.head]
-	r.buf[r.head] = flit{}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v

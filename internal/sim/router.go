@@ -31,13 +31,12 @@ type channel struct {
 // port to the local NI.
 type outPort struct {
 	ch      *channel // nil for the ejection port
-	isEject bool
-	credits []int   // free downstream buffer slots per VC (a window of Simulator.cred)
-	holder  []int32 // which input VC holds each output VC: inPort<<16|vc, -1 free
-	free    uint64  // bit v set iff holder[v] < 0: the VCs VC allocation may take
-	rrIn    int     // round-robin pointer for the output stage of the allocator
-	rrVC    int     // round-robin pointer for VC allocation
-	reqd    bool    // nominated this cycle; cleared during the grant pass
+	credits []int    // free downstream buffer slots per VC (a window of Simulator.cred)
+	free    uint64   // bit v set iff no input VC holds output VC v: the VCs VC allocation may take
+	waitIn  uint64   // bit p set iff in[p] has a VC parked on this port (inPort.wait)
+	nom     uint64   // input ports nominating this port this cycle; cleared by the grant pass
+	rrIn    int      // round-robin pointer for the output stage of the allocator
+	rrVC    int      // round-robin pointer for VC allocation
 }
 
 // vcState is one virtual channel of an input port: its flit FIFO plus the
@@ -50,6 +49,7 @@ type vcState struct {
 	frontReady int64
 	outPort    int32 // -1: head needs route computation
 	outVC      int32 // -1: needs VC allocation
+	lo, hi     uint8 // VC class [lo, hi) of the routed head, set at route computation
 }
 
 // inPort is one router input: the injection port (from the local NI) or the
@@ -66,9 +66,15 @@ type inPort struct {
 	// iterates set bits instead of scanning every VC. pend (a subset of occ)
 	// has bit v set iff the front flit of vcs[v] still needs route
 	// computation or VC allocation: mid-packet VCs drop out of the RC/VA
-	// loop entirely, which only ever did work on pending fronts.
+	// loop entirely, which only ever did work on pending fronts. wait (a
+	// subset of occ, disjoint from pend) has bit v set iff vcs[v] is routed
+	// but parked: its VC allocation failed because its output had no free
+	// VC in its class. A failed retry changes nothing, and a VC frees only
+	// at a tail grant, so a parked VC skips RC/VA until that output's next
+	// tail grant moves it back to pend (grantSwitch).
 	occ  uint64
 	pend uint64
+	wait uint64
 }
 
 // router is one network node's switch.

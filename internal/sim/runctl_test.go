@@ -213,7 +213,7 @@ func stallNetwork(t *testing.T, s *Simulator) {
 	for _, r := range s.routers {
 		for oi := range r.out {
 			op := &r.out[oi]
-			if op.isEject {
+			if op.ch == nil { // the ejection sink has no credits to revoke
 				continue
 			}
 			for v := range op.credits {
@@ -298,7 +298,7 @@ func mutateCredit(t *testing.T, s *Simulator) {
 	t.Helper()
 	r := s.routers[5]
 	for oi := range r.out {
-		if r.out[oi].isEject {
+		if r.out[oi].ch == nil {
 			continue
 		}
 		r.out[oi].credits[0]++
@@ -448,6 +448,83 @@ func TestAuditDetectsFreeMaskFault(t *testing.T) {
 	ae := auditFailure(t, s)
 	if ae.Invariant != "free-vc-mask" || !strings.Contains(ae.Detail, "router 5 out[0] vc0") {
 		t.Fatalf("got %v, want a free-vc-mask violation naming router 5 out[0] vc0", ae)
+	}
+}
+
+// parkedSim builds an audited 4x4 mesh loaded past saturation and steps it,
+// auditing every cycle, until an input VC is parked on its output (its VC
+// allocation failed); it returns the simulator and that VC's router, input
+// port and VC.
+func parkedSim(t *testing.T) (*Simulator, *router, int, int) {
+	t.Helper()
+	cfg := NewConfig(topo.Mesh(4), 1, traffic.UniformRandom(4), 0.5)
+	cfg.Warmup, cfg.Measure, cfg.Drain = 300, 2000, 10000
+	cfg.Audit = true
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		s.step()
+		if err := s.audit.check(s.now); err != nil {
+			t.Fatalf("healthy engine failed audit at cycle %d: %v", s.now, err)
+		}
+		s.now++
+		for _, r := range s.routers {
+			for pi := range r.in {
+				if w := r.in[pi].wait; w != 0 {
+					return s, r, pi, bits.TrailingZeros64(w)
+				}
+			}
+		}
+	}
+	t.Fatal("no VC parked in 2000 saturated cycles")
+	return nil, nil, 0, 0
+}
+
+// TestAuditDetectsParkedOnFreeVC moves a parked VC, registration included,
+// to an output that has a free VC in its class: the state a lost re-arm
+// leaves, where the VC would wait for a tail grant while a VC it could take
+// sits free. The parking sweep must name the VC and the free VC.
+func TestAuditDetectsParkedOnFreeVC(t *testing.T) {
+	s, r, pi, vi := parkedSim(t)
+	vc := &r.in[pi].vcs[vi]
+	class := uint64(1)<<(vc.hi-vc.lo) - 1
+	for oi := range r.out {
+		if int32(oi) == vc.outPort || r.out[oi].free>>vc.lo&class == 0 {
+			continue
+		}
+		from := vc.outPort
+		vc.outPort = int32(oi)
+		r.out[from].waitIn &^= 1 << uint(pi)
+		for m := r.in[pi].wait; m != 0; m &= m - 1 {
+			if r.in[pi].vcs[bits.TrailingZeros64(m)].outPort == from {
+				r.out[from].waitIn |= 1 << uint(pi) // another VC still parks there
+			}
+		}
+		r.out[oi].waitIn |= 1 << uint(pi)
+		ae := auditFailure(t, s)
+		want := fmt.Sprintf("router %d in[%d] vc%d: parked on out[%d], which has free VCs", r.id, pi, vi, oi)
+		if ae.Invariant != "parking" || !strings.Contains(ae.Detail, want) {
+			t.Fatalf("got %v, want a parking violation: %s", ae, want)
+		}
+		return
+	}
+	t.Fatalf("router %d has no other output with a free VC in [%d,%d)", r.id, vc.lo, vc.hi)
+}
+
+// TestAuditDetectsLostRearm drops a parked VC's registration on its output,
+// so that output's next tail grant would free a VC without re-arming it and
+// the VC would never retry VC allocation. The parking sweep must name the
+// output whose waitIn mask lost the port.
+func TestAuditDetectsLostRearm(t *testing.T) {
+	s, r, pi, vi := parkedSim(t)
+	oi := r.in[pi].vcs[vi].outPort
+	r.out[oi].waitIn &^= 1 << uint(pi)
+	ae := auditFailure(t, s)
+	want := fmt.Sprintf("router %d out[%d]: waitIn", r.id, oi)
+	if ae.Invariant != "parking" || !strings.Contains(ae.Detail, want) {
+		t.Fatalf("got %v, want a parking violation: %s", ae, want)
 	}
 }
 

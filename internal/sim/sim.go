@@ -106,11 +106,12 @@ type Simulator struct {
 	chWords   int
 	wheelMask int64
 
-	// pktFree recycles packet objects: a packet returns to the list when its
-	// tail flit ejects (after all statistics are recorded), and generate /
-	// replayTrace reuse it for the next packet. In steady state the in-flight
-	// population is stable, so no packet is ever heap-allocated.
-	pktFree []*packet
+	// pkts is the packet slab flits index into. A slot joins freePkts when
+	// its packet's tail flit ejects (after all statistics are recorded), and
+	// newPacket reuses free slots before growing the slab. In steady state
+	// the in-flight population is stable, so the slab stops growing.
+	pkts     []packet
+	freePkts []int32
 
 	traceIdx int          // replay cursor into cfg.Trace.Entries
 	recorded []TraceEntry // captured workload when cfg.RecordTrace
@@ -118,8 +119,6 @@ type Simulator struct {
 	// onPacketDone, when set, observes every completed measured packet
 	// (testing/diagnostics hook).
 	onPacketDone func(src, dst, flits, hops int, netLat, ideal float64)
-	// onGrant, when set, observes every switch traversal (diagnostics).
-	onGrant func(now int64, routerID, pi, vi int, f flit)
 }
 
 // New builds a simulator for the config. The config is validated and
@@ -337,7 +336,7 @@ func (s *Simulator) step() {
 			tz := bits.TrailingZeros64(w)
 			w &= w - 1
 			ni := s.nis[wi<<6+tz]
-			if _, ok := ni.inject(now, s); ok {
+			if ni.inject(now, s) {
 				s.inFlightFlits++
 				s.lastProgress = now
 			}
@@ -371,23 +370,33 @@ func (s *Simulator) step() {
 	}
 }
 
-// takePacket pops a recycled packet from the free list (zeroed), or
-// allocates one while the in-flight population is still growing.
-func (s *Simulator) takePacket() *packet {
-	if n := len(s.pktFree) - 1; n >= 0 {
-		p := s.pktFree[n]
-		s.pktFree[n] = nil
-		s.pktFree = s.pktFree[:n]
-		*p = packet{}
-		return p
-	}
-	return new(packet)
-}
-
-// enqueue pushes a packet's flits into the NI source queue and puts the NI
+// newPacket creates a packet of the given size from the NI to dst in a slab
+// slot (a recycled one if any), queues its flits at the NI and puts the NI
 // on the injection work list.
-func (s *Simulator) enqueue(ni *nodeIface, p *packet) {
-	ni.pushFlits(p)
+func (s *Simulator) newPacket(ni *nodeIface, dst, flits int) {
+	var idx int32
+	if n := len(s.freePkts) - 1; n >= 0 {
+		idx = s.freePkts[n]
+		s.freePkts = s.freePkts[:n]
+	} else {
+		idx = int32(len(s.pkts))
+		s.pkts = append(s.pkts, packet{})
+	}
+	s.nextPktID++
+	p := &s.pkts[idx]
+	*p = packet{
+		id: s.nextPktID, src: int32(ni.id), dst: int32(dst), flits: int32(flits), created: s.now, injected: -1,
+		measured: s.now >= s.warmEnd && s.now < s.measEnd,
+	}
+	if s.cfg.Routing == RoutingO1Turn {
+		p.yx = ni.rng.Bool(0.5)
+	}
+	if p.measured {
+		s.taggedCreated++
+	}
+	s.counts.PacketsInjected++
+	s.counts.FlitsInjected += int64(flits)
+	ni.pushFlits(idx, flits)
 	s.niAct[uint(ni.id)>>6] |= 1 << (uint(ni.id) & 63)
 }
 
@@ -405,30 +414,12 @@ func (s *Simulator) generate(ni *nodeIface) {
 			break
 		}
 	}
-	s.nextPktID++
-	p := s.takePacket()
-	p.id = s.nextPktID
-	p.src = ni.id
-	p.dst = dst
-	p.flits = s.mixFlits[class]
-	p.class = class
-	p.created = s.now
-	p.injected = -1
-	p.measured = s.now >= s.warmEnd && s.now < s.measEnd
-	if s.cfg.Routing == RoutingO1Turn {
-		p.yx = ni.rng.Bool(0.5)
-	}
-	if p.measured {
-		s.taggedCreated++
-	}
-	s.counts.PacketsInjected++
-	s.counts.FlitsInjected += int64(p.flits)
 	if s.cfg.RecordTrace {
 		s.recorded = append(s.recorded, TraceEntry{
-			Cycle: s.now, Src: p.src, Dst: p.dst, Bits: s.cfg.Mix[class].Bits,
+			Cycle: s.now, Src: ni.id, Dst: dst, Bits: s.cfg.Mix[class].Bits,
 		})
 	}
-	s.enqueue(ni, p)
+	s.newPacket(ni, dst, s.mixFlits[class])
 }
 
 // RecordedTrace returns the workload captured during a run with RecordTrace
@@ -465,8 +456,8 @@ func (s *Simulator) deliverFlit(r *router, port int, d delivery, arrival int64) 
 	vc := &ip.vcs[d.vc]
 	if vc.fifo.len() == 0 {
 		vc.frontReady = readyAt
-		if vc.outPort < 0 || vc.outVC < 0 {
-			ip.pend |= 1 << uint(d.vc) // new front needing route or VC
+		if vc.outVC < 0 {
+			ip.pend |= 1 << uint(d.vc) // a new head needing route and VC
 		}
 	}
 	vc.fifo.push(bufEntry{f: d.f, readyAt: readyAt})
@@ -509,7 +500,7 @@ func (s *Simulator) routerCycle(r *router) {
 			if ip.pend != 0 { // pend ⊆ occ, so pend == occ here
 				s.routeAndAllocVC(r, ip, pi, vi, vc)
 			}
-			if vc.outPort >= 0 && vc.outVC >= 0 {
+			if vc.outVC >= 0 {
 				if vc.frontReady > now {
 					// Routed, allocated, waiting only on the pipeline:
 					// every cycle before frontReady is provably a no-op.
@@ -530,71 +521,45 @@ func (s *Simulator) routerCycle(r *router) {
 	}
 
 	s.outReq = s.outReq[:0]
-	var nomMask uint64 // ports whose inCand entry is a live nomination
-	sleepOK := true    // no occupied VC blocked on anything but time
+	sleepOK := true // no occupied VC blocked on anything but time
 	minReady := int64(1<<63 - 1)
 	for pm := r.portOcc; pm != 0; pm &= pm - 1 {
 		pi := bits.TrailingZeros64(pm)
 		ip := &r.in[pi]
-		occ := ip.occ
 
 		// Route computation + VC allocation for every pending buffer front.
 		// Both are modeled as instantaneous here; their pipeline cost is the
-		// readyAt eligibility delay applied at buffer write. A VC leaves the
-		// pending mask once fully assigned; a failed VC allocation keeps it
-		// pending for a retry next cycle.
+		// readyAt eligibility delay applied at buffer write. Every pending VC
+		// leaves the pending mask: allocated, or parked (inPort.wait) when its
+		// output has no free VC for it.
 		for m := ip.pend; m != 0; m &= m - 1 {
 			vi := bits.TrailingZeros64(m)
 			s.routeAndAllocVC(r, ip, pi, vi, &ip.vcs[vi])
 		}
 
 		// Switch allocation, stage 1: the port nominates its first eligible
-		// VC in round-robin order from rrVC. The skip reasons double as the
-		// wake-skip classification: a VC blocked only on its pipeline
-		// readyAt contributes a wake time; any other blocker (VC allocation
-		// retry, exhausted credits) can clear without the clock advancing,
-		// so it forbids sleeping.
-		if occ&(occ-1) == 0 {
-			// One occupied VC: the rotated scan below would visit exactly
-			// this VC, so run its body directly without the rotation.
-			vi := bits.TrailingZeros64(occ)
-			vc := &ip.vcs[vi]
-			if vc.outPort < 0 || vc.outVC < 0 {
-				sleepOK = false
-				continue
-			}
-			if vc.frontReady > now {
-				if vc.frontReady < minReady {
-					minReady = vc.frontReady
-				}
-				continue
-			}
-			op := &r.out[vc.outPort]
-			if op.credits[vc.outVC] <= 0 {
-				sleepOK = false
-				continue
-			}
-			s.inCand[pi] = vi
-			nomMask |= 1 << uint(pi)
-			if !op.reqd {
-				op.reqd = true
-				s.outReq = append(s.outReq, int(vc.outPort))
-			}
-			continue
+		// allocated VC in round-robin order from rrVC. The skip reasons
+		// double as the wake-skip classification: a VC blocked only on its
+		// pipeline readyAt contributes a wake time; any other blocker (a VC
+		// still waiting for VC allocation, exhausted credits) can clear
+		// without the clock advancing, so it forbids sleeping.
+		if ip.wait != 0 {
+			sleepOK = false
 		}
-		nv := uint(len(ip.vcs))
-		rr := uint(ip.rrVC)
-		rot := (occ>>rr | occ<<(nv-rr)) & s.vcMask
-		for m := rot; m != 0; m &= m - 1 {
-			vi := ip.rrVC + bits.TrailingZeros64(m)
-			if vi >= int(nv) {
-				vi -= int(nv)
+		nv := len(ip.vcs)
+		rr, cand := 0, ip.occ&^ip.wait
+		if cand&(cand-1) != 0 {
+			// Rotating right by rrVC makes trailing-zero order the
+			// round-robin order; a single candidate needs no rotation.
+			rr = ip.rrVC
+			cand = (cand>>uint(rr) | cand<<uint(nv-rr)) & s.vcMask
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			vi := rr + bits.TrailingZeros64(cand)
+			if vi >= nv {
+				vi -= nv
 			}
 			vc := &ip.vcs[vi]
-			if vc.outPort < 0 || vc.outVC < 0 {
-				sleepOK = false
-				continue
-			}
 			if vc.frontReady > now {
 				if vc.frontReady < minReady {
 					minReady = vc.frontReady
@@ -607,96 +572,87 @@ func (s *Simulator) routerCycle(r *router) {
 				continue
 			}
 			s.inCand[pi] = vi
-			nomMask |= 1 << uint(pi)
-			if !op.reqd {
-				op.reqd = true
+			if op.nom == 0 {
 				s.outReq = append(s.outReq, int(vc.outPort))
 			}
+			op.nom |= 1 << uint(pi)
 			break
 		}
 	}
 
 	// With no nominations anywhere and every occupied VC waiting only on its
 	// pipeline, the cycles up to the earliest readyAt are proven no-ops.
-	if nomMask == 0 {
+	if len(s.outReq) == 0 {
 		if sleepOK && minReady != 1<<63-1 {
 			r.wakeAt = minReady
 		}
 		return
 	}
 
-	// Stage 2: each requested output port grants one nominating input, in
-	// round-robin order from rrIn over the nominating ports. The pending
-	// flags set in stage 1 are cleared here, so they are always all-false
-	// between routerCycle calls; a granted port's nomination bit is cleared
-	// so it cannot win a second output in the same cycle.
-	ni := len(r.in)
+	// Stage 2: each requested output port grants one of the input ports
+	// nominating it, the first in round-robin order from rrIn, in the order
+	// the outputs were first requested. A port nominates one VC and so one
+	// output, so no port can win twice.
+	ni := uint(len(r.in))
 	for _, oi := range s.outReq {
 		op := &r.out[oi]
-		op.reqd = false
-		rr := uint(op.rrIn)
-		rot := (nomMask>>rr | nomMask<<(uint(ni)-rr)) & r.inMask
-		for m := rot; m != 0; m &= m - 1 {
-			pi := op.rrIn + bits.TrailingZeros64(m)
-			if pi >= ni {
-				pi -= ni
-			}
-			vi := s.inCand[pi]
-			if r.in[pi].vcs[vi].outPort != int32(oi) {
-				continue
-			}
-			nomMask &^= 1 << uint(pi)
-			op.rrIn = pi + 1
-			if op.rrIn == ni {
-				op.rrIn = 0
-			}
-			s.grantSwitch(r, pi, vi)
-			break
+		nom, rr := op.nom, uint(op.rrIn)
+		op.nom = 0
+		pi := rr + uint(bits.TrailingZeros64((nom>>rr|nom<<(ni-rr))&r.inMask))
+		if pi >= ni {
+			pi -= ni
 		}
+		op.rrIn = int(pi) + 1
+		if op.rrIn == int(ni) {
+			op.rrIn = 0
+		}
+		s.grantSwitch(r, int(pi), s.inCand[pi])
 	}
 }
 
-// routeAndAllocVC performs route computation and VC allocation for the front
-// flit of one pending VC, clearing its pend bit once fully assigned. A failed
-// VC allocation leaves the bit set for a retry next cycle.
+// routeAndAllocVC performs route computation (for a new head) and VC
+// allocation for the front flit of one pending VC, clearing its pend bit. A
+// failed VC allocation parks the VC on its output port instead of leaving it
+// pending: until a tail grant frees a VC there, every retry would fail and
+// change nothing.
 func (s *Simulator) routeAndAllocVC(r *router, ip *inPort, pi, vi int, vc *vcState) {
-	fe := vc.fifo.front()
-	if fe.f.isHead() && vc.outPort < 0 {
-		p := fe.f.pkt
+	if vc.outPort < 0 {
+		p := &s.pkts[vc.fifo.front().f.pkt]
 		if tab := r.routeTabs[b2i(p.yx)]; tab != nil {
 			vc.outPort = tab[p.dst]
 		} else {
-			vc.outPort = r.routeFlit(p.dst, s.w, s.k, p.yx)
+			vc.outPort = r.routeFlit(int(p.dst), s.w, s.k, p.yx)
 		}
+		lo, hi := s.vcClass(p.yx)
+		vc.lo, vc.hi = uint8(lo), uint8(hi)
 	}
-	if vc.outPort >= 0 && vc.outVC < 0 {
-		// The first free VC of the packet's class in (rrVC+k) mod span
-		// order: rotating the class's free bits right by rrVC makes
-		// trailing-zero order equal to that order.
-		op := &r.out[vc.outPort]
-		lo, hi := s.vcClass(fe.f.pkt.yx)
-		span, rr := uint(hi-lo), uint(op.rrVC)
-		spanMask := uint64(1)<<span - 1
-		if m := op.free >> uint(lo) & spanMask; m != 0 {
-			k := uint(bits.TrailingZeros64((m>>rr | m<<(span-rr)) & spanMask))
-			cand := rr + k
-			if cand >= span {
-				cand -= span
-			}
-			v := uint(lo) + cand
-			op.holder[v] = int32(pi)<<16 | int32(vi)
-			op.free &^= 1 << v
-			vc.outVC = int32(v)
-			op.rrVC = int(cand) + 1
-			if op.rrVC == int(span) {
-				op.rrVC = 0
-			}
-			s.counts.VCAllocs++
-		}
+	bit := uint64(1) << uint(vi)
+	ip.pend &^= bit
+	// The first free VC of the packet's class in (rrVC+k) mod span order:
+	// rotating the class's free bits right by rrVC makes trailing-zero order
+	// equal to that order.
+	op := &r.out[vc.outPort]
+	lo, span, rr := uint(vc.lo), uint(vc.hi-vc.lo), uint(op.rrVC)
+	spanMask := uint64(1)<<span - 1
+	m := op.free >> lo & spanMask
+	if m == 0 { // park until a tail grant on this output re-arms the VC
+		ip.wait |= bit
+		op.waitIn |= 1 << uint(pi)
+		return
 	}
-	if vc.outVC >= 0 {
-		ip.pend &^= 1 << uint(vi)
+	k := uint(bits.TrailingZeros64((m>>rr | m<<(span-rr)) & spanMask))
+	cand := rr + k
+	if cand >= span {
+		cand -= span
 	}
+	v := lo + cand
+	op.free &^= 1 << v
+	vc.outVC = int32(v)
+	op.rrVC = int(cand) + 1
+	if op.rrVC == int(span) {
+		op.rrVC = 0
+	}
+	s.counts.VCAllocs++
 }
 
 // grantSwitch moves the winning flit across the crossbar into its output
@@ -727,9 +683,6 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 	s.counts.BufferReads++
 	s.counts.SwitchTraversals++
 	s.lastProgress = now
-	if s.onGrant != nil {
-		s.onGrant(now, r.id, pi, vi, f)
-	}
 
 	// Credit back to whoever feeds this input buffer, due once it has
 	// crossed the input link.
@@ -737,12 +690,13 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 	s.credWheel[cs] = append(s.credWheel[cs], int32(ip.upCred+vi))
 	s.counts.CreditsSent++
 
-	op := &r.out[vc.outPort]
-	if op.isEject {
+	oi := vc.outPort
+	op := &r.out[oi]
+	if op.ch == nil {
 		s.eject(f, now+2) // ST plus the one-cycle local link to the NI
 	} else {
 		if f.isHead() {
-			f.pkt.hops++
+			s.pkts[f.pkt].hops++
 		}
 		ch := op.ch
 		op.credits[vc.outVC]--
@@ -758,9 +712,21 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 	}
 
 	if f.isTail() {
-		op.holder[vc.outVC] = -1
 		op.free |= 1 << uint(vc.outVC)
 		vc.outPort, vc.outVC = -1, -1
+		// The freed VC un-parks every VC waiting on this output: each retries
+		// VC allocation next cycle, in the RC/VA pass's ascending port and VC
+		// order, exactly as the retries it skipped would have.
+		for pm := op.waitIn; pm != 0; pm &= pm - 1 {
+			in := &r.in[bits.TrailingZeros64(pm)]
+			for m := in.wait; m != 0; m &= m - 1 {
+				if v := bits.TrailingZeros64(m); in.vcs[v].outPort == oi {
+					in.wait &^= 1 << uint(v)
+					in.pend |= 1 << uint(v)
+				}
+			}
+		}
+		op.waitIn = 0
 	}
 }
 
@@ -769,7 +735,7 @@ func (s *Simulator) grantSwitch(r *router, pi, vi int) {
 func (s *Simulator) eject(f flit, t int64) {
 	s.counts.FlitsEjected++
 	s.inFlightFlits--
-	p := f.pkt
+	p := &s.pkts[f.pkt]
 	p.ejected++
 	if t >= s.warmEnd && t < s.measEnd {
 		s.col.flitsInWindow++
@@ -777,7 +743,6 @@ func (s *Simulator) eject(f flit, t int64) {
 	if p.ejected < p.flits {
 		return
 	}
-	p.done = t
 	s.counts.PacketsEjected++
 	if t >= s.warmEnd && t < s.measEnd {
 		s.col.ejectedInWindow++
@@ -800,14 +765,14 @@ func (s *Simulator) eject(f flit, t int64) {
 			}
 			s.col.contention.Add(extra / float64(hops))
 			if s.onPacketDone != nil {
-				s.onPacketDone(p.src, p.dst, p.flits, p.hops, netLat, ideal)
+				s.onPacketDone(int(p.src), int(p.dst), int(p.flits), int(p.hops), netLat, ideal)
 			}
 		}
 		s.col.hops.Add(float64(p.hops))
 	}
-	// The tail has ejected and every statistic is recorded: the simulator
-	// owns the packet again and may hand it to the next generate call.
-	s.pktFree = append(s.pktFree, p)
+	// The tail has ejected and every statistic is recorded: the slot is free
+	// for the next packet.
+	s.freePkts = append(s.freePkts, f.pkt)
 }
 
 // idealNetLatency is the zero-load network latency of a packet: head latency
@@ -815,7 +780,7 @@ func (s *Simulator) eject(f flit, t int64) {
 // serialization of the remaining flits. The constant matches the timing
 // convention in the package comment; TestZeroLoadMatchesModel pins it.
 func (s *Simulator) idealNetLatency(p *packet) float64 {
-	sr, dr := p.src/s.k, p.dst/s.k
+	sr, dr := int(p.src)/s.k, int(p.dst)/s.k
 	sx, sy := sr%s.w, sr/s.w
 	dx, dy := dr%s.w, dr/s.w
 	// XY turns at (dx, sy); YX, O1TURN's second class, at (sx, dy).

@@ -131,7 +131,7 @@ func TestUniformRandomZeroLoadAverage(t *testing.T) {
 	tp := model.ComputeTopoPaths(topo.Mesh(n), p)
 	nn := float64(n * n)
 	meanHeadNoDiag := tp.MeanHead() * (nn * nn) / (nn * (nn - 1))
-	ideal := meanHeadNoDiag + 3 + model.MeanFlits(model.DefaultMix(), 256)
+	ideal := meanHeadNoDiag + 3 + model.Serialization(model.DefaultMix(), 256)
 	if math.Abs(res.AvgNetLatency-ideal) > 1.0 {
 		t.Fatalf("avg net latency %.2f, ideal %.2f (%v)", res.AvgNetLatency, ideal, res)
 	}

@@ -6,6 +6,7 @@ package sim_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -126,14 +127,16 @@ func BenchmarkRunSat8x8(b *testing.B) {
 	b.Run("dcsa", func(b *testing.B) { run(b, dcsa, c) })
 }
 
-// TestStepSteadyStateZeroAllocs pins the tentpole's allocation contract: once
+// TestStepSteadyStateZeroAllocs pins the engine's allocation contract: once
 // the engine reaches steady state, stepping the simulator performs zero heap
-// allocations (packets come from the free list, all queues reuse their rings
+// allocations (packets reuse free slab slots, all queues reuse their rings
 // and the timing wheels' credit slots stop growing). It covers a
-// paper-typical load on the mesh and on an express placement, and the mesh
-// just below its knee, where the most events are in flight. AllocsPerRun
-// truncates, so a rare histogram bucket for a newly seen latency value does
-// not flake the assertion.
+// paper-typical load on the mesh and on an express placement, the mesh just
+// below its knee, where the most events are in flight, and the express
+// placement past its knee, where VCs park on their outputs. AllocsPerRun
+// truncates, so a rare histogram bucket for a newly seen latency value, or a
+// rare doubling of a growing source queue or the packet slab, does not flake
+// the assertion.
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	dcsa, c := dcsaTopo8(t)
 	for _, tc := range []struct {
@@ -145,6 +148,7 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 		{"mesh/0.05", topo.Mesh(8), 1, 0.05},
 		{"mesh/0.25", topo.Mesh(8), 1, 0.25},
 		{"dcsa/0.05", dcsa, c, 0.05},
+		{"dcsa/0.25", dcsa, c, 0.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := steadySim(t, tc.tp, tc.c, tc.rate, 5000)
@@ -155,5 +159,34 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state step allocates %.0f objects/cycle; want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestRunSatAllocs bounds the heap allocations of one whole saturated dcsa
+// run, BenchmarkRunSat8x8's config: construction, the packet slab and the
+// source queues growing with the backlog, and the result. The bounds sit
+// about 10% above the measured 2,676 allocations and 5.13 MB; a per-packet
+// or per-flit allocation would add tens of thousands of allocations.
+func TestRunSatAllocs(t *testing.T) {
+	dcsa, c := dcsaTopo8(t)
+	cfg := sim.NewConfig(dcsa, c, traffic.UniformRandom(8), 0.30)
+	cfg.Seed = 1
+	cfg.Warmup, cfg.Measure, cfg.Drain = 1000, 4000, 16000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const maxAllocs, maxBytes = 3000, 5_700_000
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("saturated dcsa run: %d allocations, %d bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("saturated dcsa run allocated %d objects, %d bytes; want at most %d and %d", allocs, bytes, maxAllocs, maxBytes)
 	}
 }

@@ -98,25 +98,7 @@ func (s *Simulator) replayTrace() {
 	for s.traceIdx < len(tr.Entries) && tr.Entries[s.traceIdx].Cycle == s.now {
 		e := tr.Entries[s.traceIdx]
 		s.traceIdx++
-		ni := s.nis[e.Src]
-		s.nextPktID++
-		p := s.takePacket()
-		p.id = s.nextPktID
-		p.src = e.Src
-		p.dst = e.Dst
-		p.flits = flitsForBits(e.Bits, s.cfg.WidthBits)
-		p.created = s.now
-		p.injected = -1
-		p.measured = s.now >= s.warmEnd && s.now < s.measEnd
-		if s.cfg.Routing == RoutingO1Turn {
-			p.yx = ni.rng.Bool(0.5)
-		}
-		if p.measured {
-			s.taggedCreated++
-		}
-		s.counts.PacketsInjected++
-		s.counts.FlitsInjected += int64(p.flits)
-		s.enqueue(ni, p)
+		s.newPacket(s.nis[e.Src], e.Dst, flitsForBits(e.Bits, s.cfg.WidthBits))
 	}
 }
 
