@@ -16,19 +16,28 @@ import (
 // SolveRequest; store, when non-nil, routes every solve through the shared
 // placement cache.
 func (r *SolveRequest) Solver(store *core.PlacementStore) (*core.Solver, error) {
-	cfg := model.DefaultConfig(r.N)
-	cfg.BW.BaseWidth = r.BaseWidth
-	if err := cfg.Validate(); err != nil {
-		return nil, configErr("%v", err)
+	s := core.NewSolver(model.DefaultConfig(r.N))
+	if err := r.configure(s, store); err != nil {
+		return nil, err
 	}
-	s := core.NewSolver(cfg)
+	return s, nil
+}
+
+// configure applies the request to a solver that holds the paper's defaults
+// for r.N. Solve keeps that solver on its stack, so a warm store hit
+// allocates neither the solver nor its config.
+func (r *SolveRequest) configure(s *core.Solver, store *core.PlacementStore) error {
+	s.Cfg.BW.BaseWidth = r.BaseWidth
+	if err := s.Cfg.Validate(); err != nil {
+		return configErr("%v", err)
+	}
 	s.Seed = r.Seed
 	s.WorstWeight = r.WorstWeight
 	if r.Moves > 0 {
 		s.Sched = s.Sched.WithMoves(r.Moves)
 	}
 	s.Store = store
-	return s, nil
+	return nil
 }
 
 // Solve runs the solve described by the request: one link limit when C > 0,
@@ -36,8 +45,8 @@ func (r *SolveRequest) Solver(store *core.PlacementStore) (*core.Solver, error) 
 // cmd/explink and the daemon, which is what makes their outputs comparable
 // byte for byte.
 func (r *SolveRequest) Solve(ctx context.Context, store *core.PlacementStore) (core.RowSolution, []core.RowSolution, error) {
-	s, err := r.Solver(store)
-	if err != nil {
+	s := *core.NewSolver(model.DefaultConfig(r.N))
+	if err := r.configure(&s, store); err != nil {
 		return core.RowSolution{}, nil, err
 	}
 	if r.C > 0 {
@@ -47,7 +56,10 @@ func (r *SolveRequest) Solve(ctx context.Context, store *core.PlacementStore) (c
 		}
 		return best, []core.RowSolution{best}, nil
 	}
-	return s.Optimize(ctx, core.Algorithm(r.Algo))
+	// The sweep hands the solver to its worker goroutines, which moves it to
+	// the heap; a copy keeps s itself on the stack for the single-C path.
+	sweep := s
+	return sweep.Optimize(ctx, core.Algorithm(r.Algo))
 }
 
 // BuildTopology resolves a topology family name to a concrete topology and

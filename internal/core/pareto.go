@@ -3,16 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 
 	"explink/internal/anneal"
-	"explink/internal/dnc"
 	"explink/internal/model"
 	"explink/internal/power"
-	"explink/internal/runctl"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -20,8 +16,9 @@ import (
 // Multi-objective placement search: SolvePareto runs the archive-based
 // vector annealer (anneal.MinimizePareto) over {latency, power, wiring}
 // instead of collapsing everything into one scalar, and returns the
-// non-dominated frontier across link limits. The scalar SolveRow/Optimize
-// path is untouched — it stays the k=1 special case.
+// non-dominated frontier across link limits. A link limit's frontier is a
+// line problem like any other (see solve); the scalar SolveRow is its k=1
+// case, with the same D&C start and the same annealer.
 
 // ParetoSA labels frontier solves in results and cache keys. It is a
 // distinct Algorithm so frontier artifacts can never alias scalar ones.
@@ -114,6 +111,17 @@ func objectiveNames(objs []Objective) []string {
 	return out
 }
 
+// search returns the annealer's objective and options for one link limit's
+// frontier from start state m. The acceptance scales come from m's vector;
+// the annealer's own Init fully resets the objective, so one instance serves
+// both.
+func (sp *ParetoSpec) search(cfg model.Config, m *topo.ConnMatrix, width int) (anneal.VectorMoveObjective, anneal.ParetoOpts) {
+	vo := newParetoVector(sp.Objectives, cfg.Params, sp.Power, width, model.Serialization(cfg.Mix, width))
+	init := make([]float64, vo.K())
+	vo.Init(m, init)
+	return vo, anneal.ParetoOpts{ArchiveCap: sp.ArchiveCap, Scales: paretoScales(init)}
+}
+
 // FrontierEntry is one non-dominated placement.
 type FrontierEntry struct {
 	C    int
@@ -147,6 +155,7 @@ type paretoVector struct {
 	width   int
 	ser     float64 // serialization latency, constant at fixed C
 	pm      power.Model
+	priced  bool // a power or wiring dimension needs the placement cost
 }
 
 func newParetoVector(dims []Objective, p model.Params, pm power.Model, width int, ser float64) *paretoVector {
@@ -154,6 +163,8 @@ func newParetoVector(dims []Objective, p model.Params, pm power.Model, width int
 	for _, d := range dims {
 		if d == ObjLatency {
 			v.inc = model.NewIncObjective(p)
+		} else {
+			v.priced = true
 		}
 	}
 	return v
@@ -199,26 +210,27 @@ func (v *paretoVector) Revert() {
 	v.m.FlipAt(v.pending)
 }
 
-// fill writes the objective vector of the tracked state. The placement cost
-// is computed at most once per call even when both power and wiring are
-// dimensions.
+// fill writes the objective vector of the tracked state, pricing the
+// placement once, and only when a power or wiring dimension needs it.
 func (v *paretoVector) fill(dst []float64, rowMean float64) {
 	var cost power.PlacementCost
-	haveCost := false
-	for i, d := range v.dims {
+	if v.priced {
+		cost = v.pm.PlacementCost(v.m.Row(), v.width)
+	}
+	objsInto(dst, v.dims, 2*rowMean+v.ser, cost)
+}
+
+// objsInto writes the objective vector of a placement with latency L_avg
+// and the given cost, in dims order.
+func objsInto(dst []float64, dims []Objective, latency float64, cost power.PlacementCost) {
+	for i, d := range dims {
 		switch d {
 		case ObjLatency:
-			dst[i] = 2*rowMean + v.ser
+			dst[i] = latency
+		case ObjPower:
+			dst[i] = cost.TotalPower()
 		default:
-			if !haveCost {
-				cost = v.pm.PlacementCost(v.m.Row(), v.width)
-				haveCost = true
-			}
-			if d == ObjPower {
-				dst[i] = cost.TotalPower()
-			} else {
-				dst[i] = cost.WireBitUnits
-			}
+			dst[i] = cost.WireBitUnits
 		}
 	}
 }
@@ -228,16 +240,7 @@ func (v *paretoVector) fill(dst []float64, rowMean float64) {
 // change any dimension), but derived from the durable representation.
 func objsFor(dims []Objective, ev model.Eval, cost power.PlacementCost) []float64 {
 	out := make([]float64, len(dims))
-	for i, d := range dims {
-		switch d {
-		case ObjLatency:
-			out[i] = ev.Total
-		case ObjPower:
-			out[i] = cost.TotalPower()
-		default:
-			out[i] = cost.WireBitUnits
-		}
-	}
+	objsInto(out, dims, ev.Total, cost)
 	return out
 }
 
@@ -262,7 +265,7 @@ func paretoScales(init []float64) []float64 {
 // link limit; c <= 0 sweeps every feasible limit (the Optimize analogue) on
 // the solver's worker pool and merges the per-C archives into one frontier.
 // With a Store attached every frontier entry is cached individually under a
-// frontier-salted key (see paretoKey), so a warm re-run solves nothing.
+// frontier-salted key (see solve), so a warm re-run solves nothing.
 func (s *Solver) SolvePareto(ctx context.Context, c int, spec ParetoSpec) (Frontier, error) {
 	rspec, err := spec.resolved()
 	if err != nil {
@@ -271,22 +274,25 @@ func (s *Solver) SolvePareto(ctx context.Context, c int, spec ParetoSpec) (Front
 	if err := s.Cfg.Validate(); err != nil {
 		return Frontier{}, err
 	}
+	problem := func(c int) *lineProblem {
+		return &lineProblem{kind: "pareto", c: c, algo: ParetoSA, spec: &rspec}
+	}
 	if c > 0 {
-		entries, evals, err := s.solveParetoC(ctx, c, rspec)
+		entries, evals, err := s.solve(ctx, problem(c), nil)
 		if err != nil {
 			return Frontier{}, err
 		}
 		return finishFrontier(rspec.Objectives, entries, evals), nil
 	}
 
-	limits := s.Cfg.BW.FeasibleLimits(topo.LinkLimits(s.Cfg.N))
-	if len(limits) == 0 {
-		return Frontier{}, fmt.Errorf("core: no feasible link limits for n=%d", s.Cfg.N)
+	limits, err := s.limits()
+	if err != nil {
+		return Frontier{}, err
 	}
 	perC := make([][]FrontierEntry, len(limits))
 	perEvals := make([]int64, len(limits))
 	err = forEachIndex(ctx, len(limits), s.Workers, func(i int) error {
-		entries, evals, err := s.solveParetoC(ctx, limits[i], rspec)
+		entries, evals, err := s.solve(ctx, problem(limits[i]), nil)
 		if err != nil {
 			return fmt.Errorf("core: C=%d: %w", limits[i], err)
 		}
@@ -305,6 +311,18 @@ func (s *Solver) SolvePareto(ctx context.Context, c int, spec ParetoSpec) (Front
 	return finishFrontier(rspec.Objectives, merged, evals), nil
 }
 
+// compareEntries orders frontier entries lexicographically by objective
+// vector, then by C, then by placement.
+func compareEntries(a, b FrontierEntry) int {
+	if cmp := stats.CompareLex(a.Objs, b.Objs); cmp != 0 {
+		return cmp
+	}
+	if a.C != b.C {
+		return a.C - b.C
+	}
+	return strings.Compare(a.Row.String(), b.Row.String())
+}
+
 // finishFrontier filters the merged entries to the non-dominated set, sorts
 // them deterministically and drops exact duplicates.
 func finishFrontier(dims []Objective, entries []FrontierEntry, evals int64) Frontier {
@@ -316,15 +334,7 @@ func finishFrontier(dims []Objective, entries []FrontierEntry, evals int64) Fron
 	for _, i := range stats.ParetoFront(points) {
 		kept = append(kept, entries[i])
 	}
-	sort.Slice(kept, func(a, b int) bool {
-		if cmp := stats.CompareLex(kept[a].Objs, kept[b].Objs); cmp != 0 {
-			return cmp < 0
-		}
-		if kept[a].C != kept[b].C {
-			return kept[a].C < kept[b].C
-		}
-		return kept[a].Row.String() < kept[b].Row.String()
-	})
+	slices.SortFunc(kept, compareEntries)
 	out := kept[:0]
 	for i, e := range kept {
 		if i > 0 {
@@ -336,192 +346,4 @@ func finishFrontier(dims []Objective, entries []FrontierEntry, evals int64) Fron
 		out = append(out, e)
 	}
 	return Frontier{Objectives: dims, Entries: out, Evals: evals}
-}
-
-// solveParetoC answers one link limit's archive, through the store when one
-// is attached. The cache layout is one meta entry (archive size + evals)
-// plus one entry per archived placement, all under the frontier-salted base
-// key; the real anneal runs at most once per process even when several
-// cached pieces are missing or corrupt (sync.Once), and a warm store
-// answers everything without solving.
-func (s *Solver) solveParetoC(ctx context.Context, c int, spec ParetoSpec) ([]FrontierEntry, int64, error) {
-	if s.Store == nil {
-		return s.solveParetoUncached(ctx, c, spec)
-	}
-	base := s.paretoKey(c, spec)
-	var once sync.Once
-	var computed []FrontierEntry
-	var computedEvals int64
-	var computeErr error
-	run := func() {
-		computed, computedEvals, computeErr = s.solveParetoUncached(ctx, c, spec)
-	}
-
-	meta, _, err := s.Store.GetOrCompute(base+"frontier=meta\n", func() (StoredPlacement, error) {
-		once.Do(run)
-		if computeErr != nil {
-			return StoredPlacement{}, computeErr
-		}
-		return StoredPlacement{
-			Algo:  ParetoSA,
-			C:     c,
-			N:     s.Cfg.N,
-			Evals: computedEvals,
-			Count: len(computed),
-		}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-
-	entries := make([]FrontierEntry, meta.Count)
-	for i := 0; i < meta.Count; i++ {
-		i := i
-		sp, _, err := s.Store.GetOrCompute(base+"frontier=entry:"+strconv.Itoa(i)+"\n", func() (StoredPlacement, error) {
-			once.Do(run)
-			if computeErr != nil {
-				return StoredPlacement{}, computeErr
-			}
-			if i >= len(computed) {
-				return StoredPlacement{}, fmt.Errorf("core: frontier entry %d beyond recomputed archive of %d (stale meta)", i, len(computed))
-			}
-			e := computed[i]
-			sp := StoredPlacement{
-				Algo:  ParetoSA,
-				C:     c,
-				N:     s.Cfg.N,
-				Eval:  e.Eval,
-				Evals: computedEvals,
-				Objs:  e.Objs,
-			}
-			if len(e.Row.Express) > 0 {
-				sp.Express = e.Row.Express
-			}
-			return sp, nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		entries[i] = s.frontierEntryFromStored(sp, spec)
-	}
-	return entries, meta.Evals, nil
-}
-
-// frontierEntryFromStored rebuilds an entry from its cached form; the
-// placement cost is cheap and derived, so it is recomputed rather than
-// persisted.
-func (s *Solver) frontierEntryFromStored(sp StoredPlacement, spec ParetoSpec) FrontierEntry {
-	row := sp.Row()
-	return FrontierEntry{
-		C:    sp.C,
-		Row:  row,
-		Eval: sp.Eval,
-		Cost: spec.Power.PlacementCost(row, sp.Eval.Width),
-		Objs: sp.Objs,
-	}
-}
-
-// solveParetoUncached runs one link limit's archive anneal: D&C initial
-// solution (the DCSA anchor), vector annealing, then per-entry dedupe,
-// feasibility scoring and canonical objective recomputation. Entries return
-// sorted lexicographically by objective vector.
-func (s *Solver) solveParetoUncached(ctx context.Context, c int, spec ParetoSpec) ([]FrontierEntry, int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	width, err := s.Cfg.BW.Width(c)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := s.Cfg.N
-	ser := model.Serialization(s.Cfg.Mix, width)
-
-	init := dnc.Initial(n, c, s.Cfg.Params)
-	evals := init.Evals
-	m, err := topo.MatrixFromRow(init.Row, c)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: encoding initial solution: %w", err)
-	}
-
-	// The acceptance scales come from the initial vector; the annealer's own
-	// Init fully resets the objective, so one instance serves both.
-	vo := newParetoVector(spec.Objectives, s.Cfg.Params, spec.Power, width, ser)
-	initObjs := make([]float64, vo.K())
-	vo.Init(m, initObjs)
-	opts := anneal.ParetoOpts{ArchiveCap: spec.ArchiveCap, Scales: paretoScales(initObjs)}
-	res := anneal.MinimizePareto(ctx, m, vo, opts, s.Sched, s.rng(c, ParetoSA))
-	evals += res.Evals
-	if ctx.Err() != nil {
-		return nil, 0, fmt.Errorf("core: C=%d pareto solve interrupted after %d evals: %w",
-			c, evals, runctl.Cancelled(ctx))
-	}
-
-	entries := make([]FrontierEntry, 0, len(res.Entries))
-	for _, e := range res.Entries {
-		row := e.Row.Dedupe()
-		dup := false
-		for _, prev := range entries {
-			if prev.Row.Equal(row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		ev, err := s.Cfg.EvalRow(row, c)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: archived placement infeasible at C=%d: %w", c, err)
-		}
-		cost := spec.Power.PlacementCost(row, width)
-		entries = append(entries, FrontierEntry{
-			C:    c,
-			Row:  row,
-			Eval: ev,
-			Cost: cost,
-			Objs: objsFor(spec.Objectives, ev, cost),
-		})
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if cmp := stats.CompareLex(entries[a].Objs, entries[b].Objs); cmp != 0 {
-			return cmp < 0
-		}
-		return entries[a].Row.String() < entries[b].Row.String()
-	})
-	return entries, evals, nil
-}
-
-// paretoKey is the canonical cache-key base for one link limit's frontier:
-// the solver-wide configKey plus everything else a frontier solve depends on
-// — the algorithm label, C, the objective list and archive cap, and the
-// power-model coefficients the power/wiring dimensions price with. Entry and
-// meta keys append their own "frontier=..." suffix, so frontier artifacts
-// can never collide with scalar row/line entries (different kind=) or with
-// each other.
-func (s *Solver) paretoKey(c int, spec ParetoSpec) string {
-	b := s.configKey(make([]byte, 0, keyBufSize))
-	b = kindKey(b, "pareto", ParetoSA, c)
-	b = append(b, "archive="...)
-	b = appendInt(b, spec.ArchiveCap)
-	b = append(b, "\nobjectives="...)
-	for i, o := range spec.Objectives {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, o...)
-	}
-	st := spec.Power.Static
-	b = append(b, "\npower="...)
-	b = appendNum(b, st.BufPerBit)
-	b = append(b, ',')
-	b = appendNum(b, st.XbarPerBK2)
-	b = append(b, ',')
-	b = appendNum(b, st.OtherPerPort)
-	b = append(b, ',')
-	b = appendNum(b, st.OtherBase)
-	b = append(b, ',')
-	b = appendInt(b, spec.Power.BufBitsPerRouter)
-	b = append(b, ',')
-	b = appendNum(b, spec.Power.WirePerBitUnit)
-	return string(append(b, '\n'))
 }

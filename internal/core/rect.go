@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"explink/internal/dnc"
 	"explink/internal/model"
 	"explink/internal/topo"
 )
@@ -36,11 +35,13 @@ type RectSolver struct {
 // NewRectSolver returns a solver for a W x H network with the paper's
 // defaults.
 func NewRectSolver(w, h int) *RectSolver {
-	return &RectSolver{W: w, H: h, Base: NewSolver(model.DefaultConfig(maxInt(w, h)))}
+	return &RectSolver{W: w, H: h, Base: NewSolver(model.DefaultConfig(max(w, h)))}
 }
 
-// SolveRect solves both dimensions at link limit c. Cancellation follows
-// SolveRow: a cut-short line fails with runctl.ErrCancelled.
+// SolveRect solves both dimensions at link limit c. Each dimension is a row
+// solve on its own line length, with the seed offset per dimension so the
+// two draw distinct streams. Cancellation follows SolveRow: a cut-short line
+// fails with runctl.ErrCancelled.
 func (rs *RectSolver) SolveRect(ctx context.Context, c int, algo Algorithm) (RectSolution, error) {
 	if rs.W < 2 || rs.H < 2 {
 		return RectSolution{}, fmt.Errorf("core: rectangular network needs both sides >= 2, got %dx%d", rs.W, rs.H)
@@ -48,51 +49,35 @@ func (rs *RectSolver) SolveRect(ctx context.Context, c int, algo Algorithm) (Rec
 	if _, err := rs.Base.Cfg.BW.Width(c); err != nil {
 		return RectSolution{}, err
 	}
-	row, evalsRow, err := rs.solveLine(ctx, rs.W, c, algo, 0)
+	line := func(n int, salt uint64) (RowSolution, error) {
+		s := *rs.Base // shallow copy so the per-line config tweak stays local
+		s.Cfg.N, s.Seed = n, rs.Base.Seed+salt
+		return s.SolveRow(ctx, c, algo)
+	}
+	row, err := line(rs.W, 0)
 	if err != nil {
 		return RectSolution{}, fmt.Errorf("core: rows: %w", err)
 	}
-	col, evalsCol := row, evalsRow
+	col := row
 	if rs.H != rs.W {
-		col, evalsCol, err = rs.solveLine(ctx, rs.H, c, algo, 1)
-		if err != nil {
+		if col, err = line(rs.H, 1); err != nil {
 			return RectSolution{}, fmt.Errorf("core: cols: %w", err)
 		}
 	}
-	t := topo.Rect(fmt.Sprintf("%s(%dx%d,C=%d)", algo, rs.W, rs.H, c), rs.W, rs.H, row, col)
+	t := topo.Rect(fmt.Sprintf("%s(%dx%d,C=%d)", algo, rs.W, rs.H, c), rs.W, rs.H, row.Row, col.Row)
 	ev, err := rs.Base.Cfg.EvalRectTopology(t, c)
 	if err != nil {
 		return RectSolution{}, err
 	}
-	return RectSolution{W: rs.W, H: rs.H, C: c, Row: row, Col: col, Eval: ev,
-		Evals: evalsRow + evalsCol}, nil
-}
-
-// solveLine optimizes one dimension of the rectangle.
-func (rs *RectSolver) solveLine(ctx context.Context, n, c int, algo Algorithm, salt uint64) (topo.Row, int64, error) {
-	s := *rs.Base // shallow copy so the per-line config tweak stays local
-	s.Cfg.N = n
-	s.Seed = rs.Base.Seed + salt // distinct but deterministic per dimension
-	switch algo {
-	case DCSA, OnlySA:
-		sol, err := s.SolveRow(ctx, c, algo)
-		if err != nil {
-			return topo.Row{}, 0, err
-		}
-		return sol.Row, sol.Evals, nil
-	case InitOnly:
-		res := dnc.Initial(n, c, s.Cfg.Params)
-		return res.Row, res.Evals, nil
-	default:
-		return topo.Row{}, 0, fmt.Errorf("core: unknown algorithm %q", algo)
-	}
+	return RectSolution{W: rs.W, H: rs.H, C: c, Row: row.Row, Col: col.Row, Eval: ev,
+		Evals: row.Evals + col.Evals}, nil
 }
 
 // OptimizeRect sweeps every feasible link limit and returns the best design
 // plus all per-C solutions.
 func (rs *RectSolver) OptimizeRect(ctx context.Context, algo Algorithm) (RectSolution, []RectSolution, error) {
 	// The binding cross-section is on the longer dimension; sweep its limits.
-	limits := rs.Base.Cfg.BW.FeasibleLimits(topo.LinkLimits(maxInt(rs.W, rs.H)))
+	limits := rs.Base.Cfg.BW.FeasibleLimits(topo.LinkLimits(max(rs.W, rs.H)))
 	if len(limits) == 0 {
 		return RectSolution{}, nil, fmt.Errorf("core: no feasible link limits for %dx%d", rs.W, rs.H)
 	}
@@ -115,11 +100,4 @@ func (rs *RectSolver) OptimizeRect(ctx context.Context, algo Algorithm) (RectSol
 func (rs *RectSolver) Topology(sol RectSolution) topo.Topology {
 	return topo.Rect(fmt.Sprintf("D&C_SA(%dx%d,C=%d)", sol.W, sol.H, sol.C),
 		sol.W, sol.H, sol.Row, sol.Col)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -63,7 +63,8 @@ func BenchmarkSolveWeighted(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.solveLine(context.Background(), c, DCSA, w.RowW[3], 3); err != nil {
+		lp := &lineProblem{kind: "line", c: c, algo: DCSA, w: w.RowW[3], line: 3}
+		if _, _, err := s.solve(context.Background(), lp, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,11 +23,11 @@ import (
 // instead of silently wrong answers.
 const storeVersion = "explink/placement/v1"
 
-// StoredPlacement is the cacheable outcome of one placement solve — the
-// uniform row solve behind SolveRow/Optimize, or one weighted line solve
-// behind SolveWeighted. Everything in it round-trips through encoding/json
-// bit-identically (spans are ints; float64 marshals shortest-round-trip), so
-// a cache hit reproduces the original solution exactly.
+// StoredPlacement is the cacheable outcome of one line problem (see solve):
+// a uniform row, a weighted line, or one piece of a frontier. Everything in
+// it round-trips through encoding/json bit-identically (spans are ints;
+// float64 marshals shortest-round-trip), so a cache hit reproduces the
+// original solution exactly.
 type StoredPlacement struct {
 	Algo    Algorithm   `json:"algo"`
 	C       int         `json:"c"`
@@ -46,19 +46,6 @@ type StoredPlacement struct {
 // Row reconstructs the placement row.
 func (sp StoredPlacement) Row() topo.Row {
 	return topo.Row{N: sp.N, Express: sp.Express}
-}
-
-// RowSolution reconstructs the full uniform-row solution.
-func (sp StoredPlacement) RowSolution() RowSolution {
-	return RowSolution{Algo: sp.Algo, C: sp.C, Row: sp.Row(), Eval: sp.Eval, Evals: sp.Evals}
-}
-
-func storedFromSolution(sol RowSolution) StoredPlacement {
-	sp := StoredPlacement{Algo: sol.Algo, C: sol.C, N: sol.Row.N, Eval: sol.Eval, Evals: sol.Evals}
-	if len(sol.Row.Express) > 0 {
-		sp.Express = sol.Row.Express
-	}
-	return sp
 }
 
 // StoreCounters is a snapshot of a store's effectiveness counters.
@@ -183,15 +170,17 @@ func (st *PlacementStore) Len() int {
 	return len(st.mem)
 }
 
-// GetOrCompute answers the canonical key from cache, or runs compute exactly
-// once per key (concurrent callers of the same key wait and share the
-// result). A failed compute caches nothing — the error propagates to every
-// waiter and a later call retries, so a cancelled run never poisons the
-// store. The bool reports whether the result came from cache. Stored
+// GetOrCompute answers the canonical key preimage from cache, or runs
+// compute exactly once per key (concurrent callers of the same key wait and
+// share the result). A failed compute caches nothing — the error propagates
+// to every waiter and a later call retries, so a cancelled run never poisons
+// the store. The bool reports whether the result came from cache. Stored
 // placements hold their express spans in canonical order, and callers share
-// the stored slice: nothing may write through it.
-func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlacement, error)) (StoredPlacement, bool, error) {
-	sum := sha256.Sum256([]byte(key))
+// the stored slice: nothing may write through it. The key is hashed in place
+// and not retained, so a caller may build it in a stack buffer; only a
+// memory miss copies it, as the string the disk entry is checked against.
+func (st *PlacementStore) GetOrCompute(key []byte, compute func() (StoredPlacement, error)) (StoredPlacement, bool, error) {
+	sum := sha256.Sum256(key)
 	st.mu.Lock()
 	for {
 		if sp, ok := st.mem[sum]; ok {
@@ -217,8 +206,8 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 	st.inflight[sum] = fl
 	st.mu.Unlock()
 
-	addr := hexAddress(sum)
-	if sp, ok := st.loadDisk(addr, key); ok {
+	addr, skey := hexAddress(sum), string(key)
+	if sp, ok := st.loadDisk(addr, skey); ok {
 		sp = sp.canonical()
 		st.mu.Lock()
 		st.mem[sum] = sp
@@ -237,7 +226,7 @@ func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlaceme
 	sp, err := compute()
 
 	if err == nil {
-		st.saveDisk(addr, key, sp)
+		st.saveDisk(addr, skey, sp)
 		sp = sp.canonical()
 	}
 	st.mu.Lock()
@@ -350,8 +339,8 @@ func (st *PlacementStore) saveDisk(addr, key string, sp StoredPlacement) {
 // with prints (store_test.go keeps it as the oracle), or every stored
 // address changes.
 
-// keyBufSize covers a default-config row or pareto preimage, so building a
-// key allocates only the final string.
+// keyBufSize covers a default-config row or frontier preimage, so building
+// one in a stack buffer of this size allocates nothing.
 const keyBufSize = 320
 
 // appendNum appends a float with the shortest representation that
@@ -360,10 +349,14 @@ func appendNum(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g
 
 func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
-// configKey appends the solver-wide key fields shared by row and line
-// solves: everything on the Solver that can change a solution. Workers is
-// explicitly excluded — output is bit-identical for any worker count.
-func (s *Solver) configKey(b []byte) []byte {
+// appendKey appends the canonical key preimage of line problem lp on s.
+// First come the solver-wide fields: everything on the Solver that can
+// change a solution. Workers is excluded, because output is bit-identical
+// for any worker count. Then come the problem's kind, algorithm and C, and
+// the fields of its kind. A weighted line adds its index and weight matrix:
+// two lines with identical weights still draw from distinct RNG streams. A
+// frontier adds its archive cap, objective list and power coefficients.
+func (s *Solver) appendKey(b []byte, lp *lineProblem) []byte {
 	b = append(b, storeVersion...)
 	b = append(b, "\nn="...)
 	b = appendInt(b, s.Cfg.N)
@@ -404,46 +397,54 @@ func (s *Solver) configKey(b []byte) []byte {
 	b = appendNum(b, s.Sched.CoolDiv)
 	b = append(b, ',')
 	b = appendInt(b, s.Sched.StopAfterNoImprove)
-	return append(b, '\n')
-}
-
-// kindKey appends the fields that open every solve-specific key section.
-func kindKey(b []byte, kind string, algo Algorithm, c int) []byte {
-	b = append(b, "kind="...)
-	b = append(b, kind...)
+	b = append(b, "\nkind="...)
+	b = append(b, lp.kind...)
 	b = append(b, "\nalgo="...)
-	b = append(b, algo...)
+	b = append(b, lp.algo...)
 	b = append(b, "\nc="...)
-	b = appendInt(b, c)
-	return append(b, '\n')
-}
-
-// rowKey is the canonical preimage for the uniform row solve P̃(n, C).
-func (s *Solver) rowKey(c int, algo Algorithm) string {
-	b := s.configKey(make([]byte, 0, keyBufSize))
-	return string(kindKey(b, "row", algo, c))
-}
-
-// lineKey is the canonical preimage for one weighted line solve of
-// SolveWeighted: the row key plus the line's weight matrix and its RNG salt
-// (two lines with identical weights still draw from distinct streams, so the
-// salt is part of what determines the output).
-func (s *Solver) lineKey(c int, algo Algorithm, w [][]float64, salt int64) string {
-	b := s.configKey(make([]byte, 0, keyBufSize+24*len(w)*len(w)))
-	b = kindKey(b, "line", algo, c)
-	b = append(b, "salt="...)
-	b = strconv.AppendInt(b, salt, 10)
-	b = append(b, "\nweights="...)
-	for i, row := range w {
-		if i > 0 {
-			b = append(b, ';')
+	b = appendInt(b, lp.c)
+	b = append(b, '\n')
+	switch lp.kind {
+	case "line":
+		b = append(b, "salt="...)
+		b = strconv.AppendInt(b, lp.line, 10)
+		b = append(b, "\nweights="...)
+		for i, row := range lp.w {
+			if i > 0 {
+				b = append(b, ';')
+			}
+			for j, v := range row {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendNum(b, v)
+			}
 		}
-		for j, v := range row {
-			if j > 0 {
+		b = append(b, '\n')
+	case "pareto":
+		b = append(b, "archive="...)
+		b = appendInt(b, lp.spec.ArchiveCap)
+		b = append(b, "\nobjectives="...)
+		for i, o := range lp.spec.Objectives {
+			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendNum(b, v)
+			b = append(b, o...)
 		}
+		st, pm := lp.spec.Power.Static, lp.spec.Power
+		b = append(b, "\npower="...)
+		b = appendNum(b, st.BufPerBit)
+		b = append(b, ',')
+		b = appendNum(b, st.XbarPerBK2)
+		b = append(b, ',')
+		b = appendNum(b, st.OtherPerPort)
+		b = append(b, ',')
+		b = appendNum(b, st.OtherBase)
+		b = append(b, ',')
+		b = appendInt(b, pm.BufBitsPerRouter)
+		b = append(b, ',')
+		b = appendNum(b, pm.WirePerBitUnit)
+		b = append(b, '\n')
 	}
-	return string(append(b, '\n'))
+	return b
 }

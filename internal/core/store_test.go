@@ -25,6 +25,20 @@ import (
 // GetOrCompute gives its file.
 func keyAddress(key string) string { return hexAddress(sha256.Sum256([]byte(key))) }
 
+// rowKey, lineKey and paretoKey are appendKey's preimages of the three kinds
+// of line problem, as strings.
+func (s *Solver) rowKey(c int, algo Algorithm) string {
+	return string(s.appendKey(nil, &lineProblem{kind: "row", c: c, algo: algo}))
+}
+
+func (s *Solver) lineKey(c int, algo Algorithm, w [][]float64, salt int64) string {
+	return string(s.appendKey(nil, &lineProblem{kind: "line", c: c, algo: algo, w: w, line: salt}))
+}
+
+func (s *Solver) paretoKey(c int, spec ParetoSpec) string {
+	return string(s.appendKey(nil, &lineProblem{kind: "pareto", c: c, algo: ParetoSA, spec: &spec}))
+}
+
 func quickSolver(n int) *Solver {
 	s := NewSolver(model.DefaultConfig(n))
 	s.Sched = s.Sched.WithMoves(800)
@@ -502,7 +516,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := StoredPlacement{Algo: DCSA, C: 1, N: 4, Eval: model.Eval{}, Evals: 1}
-	if _, _, err := st.GetOrCompute("hot", func() (StoredPlacement, error) { return seed, nil }); err != nil {
+	if _, _, err := st.GetOrCompute([]byte("hot"), func() (StoredPlacement, error) { return seed, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -511,7 +525,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		st.GetOrCompute("cold", func() (StoredPlacement, error) {
+		st.GetOrCompute([]byte("cold"), func() (StoredPlacement, error) {
 			close(enterSlow)
 			<-releaseSlow
 			return seed, nil
@@ -523,7 +537,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, cached, err := st.GetOrCompute("hot", nil); err != nil || !cached {
+		if _, cached, err := st.GetOrCompute([]byte("hot"), nil); err != nil || !cached {
 			t.Errorf("hot hit failed: cached=%v err=%v", cached, err)
 		}
 	}()
@@ -689,6 +703,38 @@ func TestStoreKeysMatchFmtOracle(t *testing.T) {
 	}
 }
 
+// FuzzStoreKey holds the store's digests to the fmt oracle: for arbitrary
+// solver fields, mix fractions, weights, line salt and link limit, the
+// digest of every kind of preimage appendKey builds in a stack buffer (as
+// solve does) equals sha256 of the oracle's preimage.
+func FuzzStoreKey(f *testing.F) {
+	f.Add(8, uint64(1), 0.0, 10.0, 10000, 1000, 2.0, 0, 0.8, 0.2, 1.0, 0.0, int64(3), 4)
+	f.Add(16, uint64(1<<63+7), 0.5, 1e21, 800, 80, 1e-7, 1000, 0.1, 0.9, 5e-324, math.MaxFloat64, int64(-7), 8)
+	f.Add(2, uint64(0), math.Copysign(0, -1), 0.0, -1, 0, 0.0, -1, 0.0, 1.0, 123456789.0, 1e-6, int64(math.MaxInt64), 1)
+	f.Fuzz(func(t *testing.T, n int, seed uint64, worst, t0 float64, moves, coolEvery int, coolDiv float64,
+		stop int, frac0, frac1, w0, w1 float64, salt int64, c int) {
+		s := NewSolver(model.DefaultConfig(n))
+		s.Seed, s.WorstWeight = seed, worst
+		s.Sched.T0, s.Sched.Moves, s.Sched.CoolEvery, s.Sched.CoolDiv, s.Sched.StopAfterNoImprove = t0, moves, coolEvery, coolDiv, stop
+		s.Cfg.Mix = []model.PacketClass{{Name: "short", Bits: 128, Frac: frac0}, {Name: "long", Bits: 512, Frac: frac1}}
+		w := [][]float64{{0, w0, w1}, {w1, 0}, nil}
+		spec := ParetoSpec{Objectives: []Objective{ObjPower, ObjLatency}, ArchiveCap: c, Power: power.DefaultModel()}
+		spec.Power.WirePerBitUnit = w1
+		check := func(lp lineProblem, want string) {
+			var buf [keyBufSize]byte
+			got := s.appendKey(buf[:0], &lp)
+			if sha256.Sum256(got) != sha256.Sum256([]byte(want)) {
+				t.Fatalf("%s key digest differs from the oracle's:\n got %q\nwant %q", lp.kind, got, want)
+			}
+		}
+		for _, algo := range []Algorithm{DCSA, OnlySA, InitOnly} {
+			check(lineProblem{kind: "row", c: c, algo: algo}, fmtRowKey(s, c, algo))
+			check(lineProblem{kind: "line", c: c, algo: algo, w: w, line: salt}, fmtLineKey(s, c, algo, w, salt))
+		}
+		check(lineProblem{kind: "pareto", c: c, algo: ParetoSA, spec: &spec}, fmtParetoKey(s, c, spec))
+	})
+}
+
 // TestStoreRowKeyAddressPinned pins one stored address outright: a
 // default-config n=8 row solve at C=4 must keep the address every existing
 // -cache-dir holds it under.
@@ -700,16 +746,20 @@ func TestStoreRowKeyAddressPinned(t *testing.T) {
 }
 
 // TestStoreKeyAddressAllocs bounds the allocations of deriving a row
-// solve's store address, which every store lookup pays.
+// solve's store digest, which every store lookup pays: the preimage is built
+// in a stack buffer and hashed in place, so it allocates nothing.
 func TestStoreKeyAddressAllocs(t *testing.T) {
 	s := NewSolver(model.DefaultConfig(16))
-	var addr string
-	allocs := testing.AllocsPerRun(200, func() { addr = keyAddress(s.rowKey(8, DCSA)) })
-	if addr == "" {
-		t.Fatal("empty address")
+	lp := &lineProblem{kind: "row", c: 8, algo: DCSA}
+	var sum digest
+	allocs := testing.AllocsPerRun(200, func() {
+		var buf [keyBufSize]byte
+		sum = sha256.Sum256(s.appendKey(buf[:0], lp))
+	})
+	if hexAddress(sum) != keyAddress(s.rowKey(8, DCSA)) {
+		t.Fatal("stack-built digest differs from the preimage's")
 	}
-	if allocs > 4 {
-		t.Fatalf("keyAddress(rowKey) allocates %.0f times, want <= 4", allocs)
+	if allocs > 0 {
+		t.Fatalf("row key digest allocates %.0f times, want 0", allocs)
 	}
-	t.Logf("keyAddress(rowKey): %.0f allocs", allocs)
 }

@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"explink/internal/anneal"
-	"explink/internal/dnc"
 	"explink/internal/model"
-	"explink/internal/runctl"
 	"explink/internal/topo"
 )
 
@@ -90,9 +86,6 @@ type WeightedSolution struct {
 // aggregated into the returned error. Cancelling ctx fails every unfinished
 // line with runctl.ErrCancelled.
 func (s *Solver) SolveWeighted(ctx context.Context, c int, w TrafficWeights, algo Algorithm) (WeightedSolution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := s.Cfg.N
 	if w.N != n {
 		return WeightedSolution{}, fmt.Errorf("core: weights for n=%d on solver n=%d", w.N, n)
@@ -107,20 +100,15 @@ func (s *Solver) SolveWeighted(ctx context.Context, c int, w TrafficWeights, alg
 		ColEvals: make([]int64, n),
 	}
 	err := forEachIndex(ctx, 2*n, s.Workers, func(i int) error {
-		if i < n {
-			row, evals, err := s.solveLine(ctx, c, algo, w.RowW[i], int64(i))
-			if err != nil {
-				return fmt.Errorf("core: row %d: %w", i, err)
-			}
-			sol.Topology.Rows[i], sol.RowEvals[i] = row, evals
-			return nil
+		name, x, lines, out, evals := "row", i, w.RowW, sol.Topology.Rows, sol.RowEvals
+		if i >= n {
+			name, x, lines, out, evals = "col", i-n, w.ColW, sol.Topology.Cols, sol.ColEvals
 		}
-		x := i - n
-		col, evals, err := s.solveLine(ctx, c, algo, w.ColW[x], int64(n+x))
+		e, ev, err := s.solve(ctx, &lineProblem{kind: "line", c: c, algo: algo, w: lines[x], line: int64(i)}, nil)
 		if err != nil {
-			return fmt.Errorf("core: col %d: %w", x, err)
+			return fmt.Errorf("core: %s %d: %w", name, x, err)
 		}
-		sol.Topology.Cols[x], sol.ColEvals[x] = col, evals
+		out[x], evals[x] = e[0].Row, ev
 		return nil
 	})
 	if err != nil {
@@ -130,87 +118,6 @@ func (s *Solver) SolveWeighted(ctx context.Context, c int, w TrafficWeights, alg
 		sol.Evals += sol.RowEvals[i] + sol.ColEvals[i]
 	}
 	return sol, nil
-}
-
-// solveLine solves one weighted line instance, routing through the placement
-// store when one is attached: the cache key extends the row key with the
-// line's weight matrix and RNG salt, so lines of different benchmarks (or
-// different lines of one benchmark) never alias while a repeated benchmark
-// run is answered without re-annealing.
-func (s *Solver) solveLine(ctx context.Context, c int, algo Algorithm, w [][]float64, salt int64) (topo.Row, int64, error) {
-	if s.Store == nil {
-		return s.solveLineUncached(ctx, c, algo, w, salt)
-	}
-	sp, _, err := s.Store.GetOrCompute(s.lineKey(c, algo, w, salt), func() (StoredPlacement, error) {
-		row, evals, err := s.solveLineUncached(ctx, c, algo, w, salt)
-		if err != nil {
-			return StoredPlacement{}, err
-		}
-		stored := StoredPlacement{Algo: algo, C: c, N: row.N, Evals: evals}
-		if len(row.Express) > 0 {
-			stored.Express = row.Express
-		}
-		return stored, nil
-	})
-	if err != nil {
-		return topo.Row{}, 0, err
-	}
-	return sp.Row(), sp.Evals, nil
-}
-
-// solveLineUncached solves one weighted P̃(n, C) instance, returning the placement and
-// the evaluations spent. The divide-and-conquer initialization stays
-// unweighted (it is a structural heuristic); the SA refinement uses the
-// weighted objective, exactly as Section 5.6.4 notes that "the proposed
-// divide-and-conquer method ... and the cleverly-designed connection matrix
-// ... are still applicable".
-func (s *Solver) solveLineUncached(ctx context.Context, c int, algo Algorithm, w [][]float64, salt int64) (topo.Row, int64, error) {
-	t0 := time.Now()
-	n := s.Cfg.N
-
-	var init topo.Row
-	var evals int64
-	switch algo {
-	case DCSA, InitOnly:
-		ir := dnc.Initial(n, c, s.Cfg.Params)
-		init, evals = ir.Row, ir.Evals
-		if algo == InitOnly {
-			observeSolve("line", c, evals, time.Since(t0))
-			return init, evals, nil
-		}
-	case OnlySA:
-		init = topo.MeshRow(n)
-	default:
-		return topo.Row{}, 0, fmt.Errorf("core: unknown algorithm %q", algo)
-	}
-	m, err := topo.MatrixFromRow(init, c)
-	if err != nil {
-		return topo.Row{}, 0, err
-	}
-	rng := s.rngFor(c, algo, uint64(salt)+1)
-	if algo == OnlySA {
-		m.Randomize(func() bool { return rng.Bool(0.5) })
-	}
-	// The true starting state is the matrix as the annealer sees it — for
-	// OnlySA the randomized matrix, not the mesh it was built from — so the
-	// final fallback compares against exactly that state. The annealer's
-	// best-so-far tracking already starts there, so the guard only fires if
-	// that invariant is ever broken.
-	start := m.Row()
-	startObj := model.WeightedRowMean(start, s.Cfg.Params, w)
-	evals++
-	mo := model.NewIncObjective(s.Cfg.Params).WithWeights(w)
-	res := anneal.MinimizePareto(ctx, m, mo, anneal.ParetoOpts{}, s.Sched, rng)
-	evals += res.Evals
-	if ctx.Err() != nil {
-		return topo.Row{}, evals, runctl.Cancelled(ctx)
-	}
-	observeSolve("line", c, evals, time.Since(t0))
-	best := res.Entries[0]
-	if startObj < best.Objs[0] {
-		return start, evals, nil
-	}
-	return best.Row.Canonical(), evals, nil
 }
 
 // WeightedLatency scores a topology against a node-level traffic matrix:

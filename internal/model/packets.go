@@ -15,12 +15,14 @@ type PacketClass struct {
 
 // DefaultMix returns the paper's packet population (Section 5.1): long
 // 512-bit packets to short 128-bit packets at a 1:4 ratio, following the
-// empirical characterization in [19].
-func DefaultMix() []PacketClass {
-	return []PacketClass{
-		{Name: "short", Bits: 128, Frac: 0.8},
-		{Name: "long", Bits: 512, Frac: 0.2},
-	}
+// empirical characterization in [19]. Every caller shares the one slice, so
+// building a default Config allocates nothing: replace a Config's Mix, never
+// write into it.
+func DefaultMix() []PacketClass { return defaultMix }
+
+var defaultMix = []PacketClass{
+	{Name: "short", Bits: 128, Frac: 0.8},
+	{Name: "long", Bits: 512, Frac: 0.2},
 }
 
 // ValidateMix checks packet classes are well-formed and fractions sum to ~1.

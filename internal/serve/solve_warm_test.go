@@ -36,10 +36,10 @@ func (r *reuseRecorder) reset() {
 }
 
 // warmSolveAllocsMax bounds the allocations of one warm /v1/solve store hit
-// through Handler(): 31 with the reflective body decode, the hex-keyed
-// store memory tier and the per-request hooks built for every op; 14
-// without them.
-const warmSolveAllocsMax = 14
+// through Handler(). The store key is hashed from a stack buffer and the
+// request's solver stays on the stack, so what allocates is the per-request
+// context, the body reader, the decoded request and the response.
+const warmSolveAllocsMax = 10
 
 // TestWarmSolveAllocs pins the allocations of a warm solve: one request
 // (json.Marshal of a request with a seed, as Go clients send it) answered
