@@ -20,7 +20,7 @@ import (
 	"explink/internal/dnc"
 	"explink/internal/exp"
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle"
 	"explink/internal/sim"
 	"explink/internal/stats"
 	"explink/internal/topo"
@@ -29,9 +29,12 @@ import (
 
 // ---- Per-figure/table harnesses (Section 5 of the paper) ----
 
+// quickOptions are the reduced budgets of expbench -quick at seed 1.
+var quickOptions = exp.Options{Quick: true, Seed: 1}
+
 func BenchmarkFig5LatencyVsC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig5(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig5(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +42,7 @@ func BenchmarkFig5LatencyVsC(b *testing.B) {
 
 func BenchmarkFig6ParsecLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig6(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig6(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +50,7 @@ func BenchmarkFig6ParsecLatency(b *testing.B) {
 
 func BenchmarkFig7RuntimeComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig7(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +58,7 @@ func BenchmarkFig7RuntimeComparison(b *testing.B) {
 
 func BenchmarkFig8SyntheticTraffic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig8(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig8(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +66,7 @@ func BenchmarkFig8SyntheticTraffic(b *testing.B) {
 
 func BenchmarkFig9PowerPerBenchmark(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig9(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig9(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +74,7 @@ func BenchmarkFig9PowerPerBenchmark(b *testing.B) {
 
 func BenchmarkFig10StaticBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig10(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig10(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +82,7 @@ func BenchmarkFig10StaticBreakdown(b *testing.B) {
 
 func BenchmarkFig11BandwidthImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig11(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig11(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +90,7 @@ func BenchmarkFig11BandwidthImpact(b *testing.B) {
 
 func BenchmarkFig12VsOptimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig12(exp.QuickOptions()); err != nil {
+		if _, err := exp.Fig12(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +98,7 @@ func BenchmarkFig12VsOptimal(b *testing.B) {
 
 func BenchmarkTable2WorstCase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table2(exp.QuickOptions()); err != nil {
+		if _, err := exp.Table2(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +106,7 @@ func BenchmarkTable2WorstCase(b *testing.B) {
 
 func BenchmarkAppSpecific(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AppSpec(exp.QuickOptions()); err != nil {
+		if _, err := exp.AppSpec(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +116,7 @@ func BenchmarkAppSpecific(b *testing.B) {
 
 func BenchmarkAblationGenerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationGenerator(exp.QuickOptions()); err != nil {
+		if _, err := exp.AblationGenerator(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +124,7 @@ func BenchmarkAblationGenerator(b *testing.B) {
 
 func BenchmarkAblationRouting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationRouting(exp.QuickOptions()); err != nil {
+		if _, err := exp.AblationRouting(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +132,7 @@ func BenchmarkAblationRouting(b *testing.B) {
 
 func BenchmarkAblationBypass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationBypass(exp.QuickOptions()); err != nil {
+		if _, err := exp.AblationBypass(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +140,7 @@ func BenchmarkAblationBypass(b *testing.B) {
 
 func BenchmarkBottleneckAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Bottleneck(exp.QuickOptions()); err != nil {
+		if _, err := exp.Bottleneck(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +148,7 @@ func BenchmarkBottleneckAnalysis(b *testing.B) {
 
 func BenchmarkRobustness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Robustness(exp.QuickOptions()); err != nil {
+		if _, err := exp.Robustness(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +156,7 @@ func BenchmarkRobustness(b *testing.B) {
 
 func BenchmarkLoadLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.LoadLatency(exp.QuickOptions()); err != nil {
+		if _, err := exp.LoadLatency(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +164,7 @@ func BenchmarkLoadLatency(b *testing.B) {
 
 func BenchmarkMicroarch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Microarch(exp.QuickOptions()); err != nil {
+		if _, err := exp.Microarch(quickOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,12 +191,11 @@ func BenchmarkRowEval16(b *testing.B) {
 }
 
 // fullEvalObjective scores every memo miss by re-routing the whole decoded
-// row through a route.Scratch, the full-evaluation reference the annealing
+// row through an oracle.Scratch, the full-evaluation reference the annealing
 // benchmark times (the incremental path is BenchmarkMinimize/inc in
 // internal/anneal).
 type fullEvalObjective struct {
-	s       *route.Scratch
-	rp      route.Params
+	s       *oracle.Scratch
 	m       *topo.ConnMatrix
 	pending int
 }
@@ -204,12 +206,13 @@ func (o *fullEvalObjective) Init(m *topo.ConnMatrix, dst []float64) {
 	o.Eval(dst)
 }
 func (o *fullEvalObjective) Flip(bit int)       { o.m.FlipAt(bit); o.pending = bit }
-func (o *fullEvalObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row(), o.rp) }
+func (o *fullEvalObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row()) }
 func (o *fullEvalObjective) Commit()            {}
 func (o *fullEvalObjective) Revert()            { o.m.FlipAt(o.pending) }
 
 func BenchmarkAnnealFullSchedule8x8C4(b *testing.B) {
-	obj := &fullEvalObjective{s: route.NewScratch(), rp: model.DefaultParams().Route()}
+	rp := model.DefaultParams().Route()
+	obj := &fullEvalObjective{s: oracle.NewScratch(rp.PerHop, rp.PerUnit)}
 	sch := anneal.DefaultSchedule()
 	for i := 0; i < b.N; i++ {
 		m := topo.NewConnMatrix(8, 4)

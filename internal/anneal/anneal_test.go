@@ -8,6 +8,7 @@ import (
 	"explink/internal/bnb"
 	"explink/internal/model"
 	"explink/internal/obs"
+	"explink/internal/oracle"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -142,7 +143,7 @@ func TestMinimizeDeterministic(t *testing.T) {
 func TestMinimizeFindsOptimumSmall(t *testing.T) {
 	// P(8,2) has a 64-state matrix space; a full SA run must find the global
 	// optimum.
-	opt := bnb.ExhaustiveMatrix(8, 2, p)
+	opt := oracle.ExhaustiveMatrix(8, 2, p.Route().PerHop, p.Route().PerUnit)
 	m := topo.NewConnMatrix(8, 2)
 	best, _ := minimize(t, m, DefaultSchedule(), stats.NewRNG(5))
 	if math.Abs(best.Objs[0]-opt.Mean) > 1e-9 {
@@ -196,7 +197,8 @@ func TestMinimizeFromGoodInitNeverWorse(t *testing.T) {
 	}
 	uniform := func() *model.IncObjective { return model.NewIncObjective(p) }
 	weighted := func() *model.IncObjective { return model.NewIncObjective(p).WithWeights(skewed) }
-	weightedObj := func(r topo.Row) float64 { return model.WeightedRowMean(r, p, skewed) }
+	scratch := oracle.NewScratch(p.Route().PerHop, p.Route().PerUnit)
+	weightedObj := func(r topo.Row) float64 { return scratch.WeightedMean(r, skewed) }
 	cases := []struct {
 		name  string
 		start func(*stats.RNG) *topo.ConnMatrix

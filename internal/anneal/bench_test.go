@@ -13,7 +13,7 @@ import (
 // BenchmarkMinimize times a full default SA schedule (10^4 moves) on the
 // connection-matrix search space, the per-line unit of work behind
 // core.SolveRow and core.SolveWeighted. The "full" variant re-routes every
-// memo miss from scratch (the route.Scratch reference objective) and
+// memo miss from scratch (the oracle.Scratch reference objective) and
 // compares it against the incremental path at the same problem sizes;
 // perfbench's anneal.ns_per_miss measures the incremental path end to end.
 func BenchmarkMinimize(b *testing.B) {

@@ -68,7 +68,9 @@ func (t *memoTable) place(e int) {
 	t.slots[s] = int32(e + 1)
 }
 
-// grow doubles the slot array and rehashes every entry.
+// grow doubles the slot array and rehashes every entry. Only a search that
+// stores more states than its presize reaches it, e.g.
+// `explink -n 16 -c 4 -moves 400000`.
 func (t *memoTable) grow() {
 	t.slots = make([]int32, 2*len(t.slots))
 	for e := range t.len() {

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -116,16 +116,16 @@ func (r *recordingObjective) Revert() {
 
 // scratchObjective is the full-evaluation reference objective: it mirrors
 // the annealer's matrix and re-routes the whole decoded row through a
-// route.Scratch on every Eval.
+// oracle.Scratch on every Eval.
 type scratchObjective struct {
-	s       *route.Scratch
-	rp      route.Params
+	s       *oracle.Scratch
 	m       *topo.ConnMatrix
 	pending int
 }
 
 func newScratchObjective(p model.Params) *scratchObjective {
-	return &scratchObjective{s: route.NewScratch(), rp: p.Route()}
+	rp := p.Route()
+	return &scratchObjective{s: oracle.NewScratch(rp.PerHop, rp.PerUnit)}
 }
 
 func (o *scratchObjective) K() int { return 1 }
@@ -134,7 +134,7 @@ func (o *scratchObjective) Init(m *topo.ConnMatrix, dst []float64) {
 	o.Eval(dst)
 }
 func (o *scratchObjective) Flip(bit int)       { o.m.FlipAt(bit); o.pending = bit }
-func (o *scratchObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row(), o.rp) }
+func (o *scratchObjective) Eval(dst []float64) { dst[0] = o.s.MeanDist(o.m.Row()) }
 func (o *scratchObjective) Commit()            {}
 func (o *scratchObjective) Revert()            { o.m.FlipAt(o.pending) }
 

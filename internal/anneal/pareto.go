@@ -75,7 +75,8 @@ func (a *archive) insert(cur *topo.ConnMatrix, objs []float64) bool {
 // prune evicts most-crowded entries (smallest NSGA-II crowding distance;
 // ties evict the newest entry) until the archive fits its cap, and returns
 // how many it evicted. Extreme entries per dimension carry infinite
-// distance, so the frontier's endpoints always survive.
+// distance, so the frontier's endpoints always survive. A frontier larger
+// than its cap reaches it, e.g. `explink -n 12 -pareto -archive 4`.
 func (a *archive) prune() int {
 	pruned := 0
 	for len(a.entries) > a.cap {

@@ -45,16 +45,23 @@ func (r *SolveRequest) configure(s *core.Solver, store *core.PlacementStore) err
 // cmd/explink and the daemon, which is what makes their outputs comparable
 // byte for byte.
 func (r *SolveRequest) Solve(ctx context.Context, store *core.PlacementStore) (core.RowSolution, []core.RowSolution, error) {
+	best, all, err := r.solve(ctx, store)
+	if err == nil && all == nil {
+		all = []core.RowSolution{best}
+	}
+	return best, all, err
+}
+
+// solve is Solve without the one-element list of a single-C solve: all is
+// nil then, and best is the whole answer.
+func (r *SolveRequest) solve(ctx context.Context, store *core.PlacementStore) (core.RowSolution, []core.RowSolution, error) {
 	s := *core.NewSolver(model.DefaultConfig(r.N))
 	if err := r.configure(&s, store); err != nil {
 		return core.RowSolution{}, nil, err
 	}
 	if r.C > 0 {
 		best, err := s.SolveRow(ctx, r.C, core.Algorithm(r.Algo))
-		if err != nil {
-			return core.RowSolution{}, nil, err
-		}
-		return best, []core.RowSolution{best}, nil
+		return best, nil, err
 	}
 	// The sweep hands the solver to its worker goroutines, which moves it to
 	// the heap; a copy keeps s itself on the stack for the single-C path.

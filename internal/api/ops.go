@@ -60,13 +60,17 @@ type Reply struct {
 // Ops is the service op table: the paper's flow as daemon operations.
 var Ops = []Op{
 	newOp("solve", func(ctx context.Context, env Env, r *SolveRequest) (Reply, error) {
-		best, all, err := r.Solve(ctx, env.Store)
+		best, all, err := r.solve(ctx, env.Store)
 		if err != nil {
 			return Reply{}, err
 		}
+		resp := NewSolveResponse(best, all)
+		if all == nil { // one C: the sweep list is the best solution alone
+			resp.All = []Solution{resp.Best}
+		}
 		// The direct appender, not the sanitizer: these bytes must equal
 		// `explink -json`.
-		body, err := NewSolveResponse(best, all).marshal()
+		body, err := resp.marshal()
 		return Reply{Body: body}, err
 	}),
 	newOp("eval", func(_ context.Context, _ Env, r *EvalRequest) (Reply, error) {

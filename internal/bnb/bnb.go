@@ -152,38 +152,6 @@ func allSpans(n int) []topo.Span {
 	return out
 }
 
-// ExhaustiveMatrix finds the optimum by enumerating every connection matrix
-// of P̃(n, C). It exists to validate the paper's claim that the
-// connection-matrix space loses no useful solutions: tests assert its optimum
-// matches OptimalRow's. Practical only while (n-2)·(C-1) stays small.
-func ExhaustiveMatrix(n, c int, p model.Params) Result {
-	m := topo.NewConnMatrix(n, c)
-	bits := m.Bits()
-	if bits > 26 {
-		panic(fmt.Sprintf("bnb: exhaustive matrix space 2^%d too large", bits))
-	}
-	inc := route.NewIncremental(p.Route())
-	var best Result
-	var evals int64
-	for code := 0; code < 1<<bits; code++ {
-		for b := 0; b < bits; b++ {
-			want := code&(1<<b) != 0
-			layer, router := b/(n-2), b%(n-2)+1
-			m.Set(layer, router, want)
-		}
-		row := m.Row()
-		inc.Reset(row)
-		mean := inc.Mean()
-		evals++
-		if evals == 1 || mean < best.Mean {
-			best.Mean = mean
-			best.Row = row.Canonical()
-		}
-	}
-	best.Evals = evals
-	return best
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

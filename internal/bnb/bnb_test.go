@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"explink/internal/model"
+	"explink/internal/oracle"
 	"explink/internal/topo"
 )
 
@@ -74,7 +75,7 @@ func TestExhaustiveMatrixMatchesBranchAndBound(t *testing.T) {
 	// its optimum must therefore match the raw-space optimum.
 	for _, tc := range []struct{ n, c int }{{4, 2}, {5, 2}, {6, 2}, {6, 3}, {8, 2}, {8, 3}} {
 		raw := OptimalRow(tc.n, tc.c, p)
-		mat := ExhaustiveMatrix(tc.n, tc.c, p)
+		mat := oracle.ExhaustiveMatrix(tc.n, tc.c, p.Route().PerHop, p.Route().PerUnit)
 		if math.Abs(raw.Mean-mat.Mean) > 1e-9 {
 			t.Fatalf("P(%d,%d): raw optimum %g != matrix optimum %g (rows %v vs %v)",
 				tc.n, tc.c, raw.Mean, mat.Mean, raw.Row, mat.Row)
@@ -83,7 +84,7 @@ func TestExhaustiveMatrixMatchesBranchAndBound(t *testing.T) {
 }
 
 func TestExhaustiveMatrixEvalCount(t *testing.T) {
-	res := ExhaustiveMatrix(6, 2, p)
+	res := oracle.ExhaustiveMatrix(6, 2, p.Route().PerHop, p.Route().PerUnit)
 	if res.Evals != 16 { // 2^((6-2)*(2-1))
 		t.Fatalf("evals = %d, want 16", res.Evals)
 	}
@@ -95,7 +96,7 @@ func TestExhaustiveMatrixPanicsWhenHuge(t *testing.T) {
 			t.Fatal("no panic for oversized space")
 		}
 	}()
-	ExhaustiveMatrix(16, 4, p)
+	oracle.ExhaustiveMatrix(16, 4, p.Route().PerHop, p.Route().PerUnit)
 }
 
 func TestAllSpans(t *testing.T) {

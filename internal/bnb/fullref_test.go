@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle"
 	"explink/internal/topo"
 )
 
@@ -25,8 +25,9 @@ type fullSearcher struct {
 
 func fullOptimalRow(n, c int, p model.Params, useBound bool) Result {
 	mesh := topo.MeshRow(n)
-	scratch, rp := route.NewScratch(), p.Route()
-	obj := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+	rp := p.Route()
+	scratch := oracle.NewScratch(rp.PerHop, rp.PerUnit)
+	obj := scratch.MeanDist
 	st := &fullSearcher{n: n, c: c, obj: obj, useBound: useBound}
 	st.spans = allSpans(n)
 	st.cuts = make([]int, maxInt(n-1, 0))

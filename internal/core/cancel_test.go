@@ -55,34 +55,37 @@ func TestEntryPointsCancelMidAnneal(t *testing.T) {
 	// 65, so 2 is mid-anneal; a sweep polls once more before each C, and its
 	// first limit, C=1, has no bits to anneal, so 5 is mid-anneal at C=2.
 	// done counts the store entries of the sub-problems a sweep finished
-	// first (C=1: one row, or a frontier's meta and single entry).
+	// first (C=1: one row, or a frontier's meta and single entry). unstarted
+	// lists the sub-problems a pool cancels before they start, each named
+	// with the caller's own label.
 	cases := []struct {
-		name  string
-		polls int64
-		c     int
-		done  int
-		run   func(context.Context, *Solver) error
+		name      string
+		polls     int64
+		c         int
+		done      int
+		unstarted []string
+		run       func(context.Context, *Solver) error
 	}{
-		{"SolveRow D&C_SA", 2, 4, 0, row(DCSA)},
-		{"SolveRow OnlySA", 2, 4, 0, row(OnlySA)},
-		{"SolveRow InitOnly", 1, 4, 0, row(InitOnly)}, // no anneal: the solve's own check
-		{"Optimize", 5, 2, 1, func(ctx context.Context, s *Solver) error {
+		{"SolveRow D&C_SA", 2, 4, 0, nil, row(DCSA)},
+		{"SolveRow OnlySA", 2, 4, 0, nil, row(OnlySA)},
+		{"SolveRow InitOnly", 1, 4, 0, nil, row(InitOnly)}, // no anneal: the solve's own check
+		{"Optimize", 5, 2, 1, []string{"C=4", "C=8"}, func(ctx context.Context, s *Solver) error {
 			_, _, err := s.Optimize(ctx, DCSA)
 			return err
 		}},
-		{"SolveWeighted", 3, 4, 0, func(ctx context.Context, s *Solver) error {
+		{"SolveWeighted", 3, 4, 0, []string{"row 1", "row 7", "col 0", "col 7"}, func(ctx context.Context, s *Solver) error {
 			_, err := s.SolveWeighted(ctx, 4, w, DCSA)
 			return err
 		}},
-		{"SolvePareto one C", 2, 4, 0, func(ctx context.Context, s *Solver) error {
+		{"SolvePareto one C", 2, 4, 0, nil, func(ctx context.Context, s *Solver) error {
 			_, err := s.SolvePareto(ctx, 4, ParetoSpec{})
 			return err
 		}},
-		{"SolvePareto sweep", 5, 2, 2, func(ctx context.Context, s *Solver) error {
+		{"SolvePareto sweep", 5, 2, 2, []string{"C=4", "C=8"}, func(ctx context.Context, s *Solver) error {
 			_, err := s.SolvePareto(ctx, 0, ParetoSpec{})
 			return err
 		}},
-		{"SolveRect", 2, 4, 0, func(ctx context.Context, s *Solver) error {
+		{"SolveRect", 2, 4, 0, nil, func(ctx context.Context, s *Solver) error {
 			_, err := (&RectSolver{W: 8, H: 4, Base: s}).SolveRect(ctx, 4, DCSA)
 			return err
 		}},
@@ -102,8 +105,14 @@ func TestEntryPointsCancelMidAnneal(t *testing.T) {
 				t.Errorf("%s: err = %v, want runctl.ErrCancelled", name, err)
 				continue
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("C=%d ", tc.c)) || !evals.MatchString(msg) {
+			msg := err.Error()
+			if !strings.Contains(msg, fmt.Sprintf("C=%d ", tc.c)) || !evals.MatchString(msg) {
 				t.Errorf("%s: message %q does not name C=%d and the evals done", name, msg, tc.c)
+			}
+			for _, label := range tc.unstarted {
+				if want := "core: " + label + " not started"; !strings.Contains(msg, want) {
+					t.Errorf("%s: message %q lacks %q", name, msg, want)
+				}
 			}
 			if ctx.left.Load() > 0 {
 				t.Errorf("%s: finished before its cancelling poll", name)

@@ -13,11 +13,11 @@ import (
 // forEachIndex runs fn(i) for every i in [0, n) on a bounded worker pool, in
 // the style of sim.RunMany. Results must be written to index-addressed slots
 // by fn, so the output is bit-identical for any worker count; all errors are
-// collected in index order and aggregated with errors.Join (nil when every
-// call succeeds). Cancelling ctx stops dispatching; every index not yet
-// started fails with an error matching runctl.ErrCancelled. workers <= 0
-// uses GOMAXPROCS.
-func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) error {
+// collected in index order, prefixed "core: <label(i)>: " and aggregated with
+// errors.Join (nil when every call succeeds). Cancelling ctx stops
+// dispatching; every index not yet started fails with "core: <label(i)> not
+// started", matching runctl.ErrCancelled. workers <= 0 uses GOMAXPROCS.
+func forEachIndex(ctx context.Context, n, workers int, label func(i int) string, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -32,7 +32,12 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) err
 	}
 	errs := make([]error, n)
 	notStarted := func(i int) error {
-		return fmt.Errorf("core: sub-problem %d not started: %w", i, runctl.Cancelled(ctx))
+		return fmt.Errorf("core: %s not started: %w", label(i), runctl.Cancelled(ctx))
+	}
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			errs[i] = fmt.Errorf("core: %s: %w", label(i), err)
+		}
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -40,7 +45,7 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) err
 				errs[i] = notStarted(i)
 				continue
 			}
-			errs[i] = fn(i)
+			run(i)
 		}
 		return errors.Join(errs...)
 	}
@@ -51,7 +56,7 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(i int) error) err
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				errs[i] = fn(i)
+				run(i)
 			}
 		}()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestForEachIndexAggregatesErrors(t *testing.T) {
-	err := forEachIndex(context.Background(), 5, 3, func(i int) error {
+	err := forEachIndex(context.Background(), 5, 3, strconv.Itoa, func(i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -24,10 +25,10 @@ func TestForEachIndexAggregatesErrors(t *testing.T) {
 			t.Fatalf("aggregated error %q missing %q", err, want)
 		}
 	}
-	if err := forEachIndex(context.Background(), 0, 4, func(int) error { return fmt.Errorf("never") }); err != nil {
+	if err := forEachIndex(context.Background(), 0, 4, strconv.Itoa, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Fatalf("empty index space returned %v", err)
 	}
-	if err := forEachIndex(context.Background(), 3, 1, func(int) error { return nil }); err != nil {
+	if err := forEachIndex(context.Background(), 3, 1, strconv.Itoa, func(int) error { return nil }); err != nil {
 		t.Fatalf("sequential path returned %v", err)
 	}
 }

@@ -291,13 +291,10 @@ func (s *Solver) SolvePareto(ctx context.Context, c int, spec ParetoSpec) (Front
 	}
 	perC := make([][]FrontierEntry, len(limits))
 	perEvals := make([]int64, len(limits))
-	err = forEachIndex(ctx, len(limits), s.Workers, func(i int) error {
-		entries, evals, err := s.solve(ctx, problem(limits[i]), nil)
-		if err != nil {
-			return fmt.Errorf("core: C=%d: %w", limits[i], err)
-		}
-		perC[i], perEvals[i] = entries, evals
-		return nil
+	err = forEachIndex(ctx, len(limits), s.Workers, limitLabel(limits), func(i int) error {
+		var err error
+		perC[i], perEvals[i], err = s.solve(ctx, problem(limits[i]), nil)
+		return err
 	})
 	if err != nil {
 		return Frontier{}, err

@@ -58,19 +58,19 @@ func (rs *RectSolver) SolveRect(ctx context.Context, c int, algo Algorithm) (Rec
 	if err != nil {
 		return RectSolution{}, fmt.Errorf("core: rows: %w", err)
 	}
-	col := row
+	col, evals := row, row.Evals // a square network reuses the row solve
 	if rs.H != rs.W {
 		if col, err = line(rs.H, 1); err != nil {
 			return RectSolution{}, fmt.Errorf("core: cols: %w", err)
 		}
+		evals += col.Evals
 	}
 	t := topo.Rect(fmt.Sprintf("%s(%dx%d,C=%d)", algo, rs.W, rs.H, c), rs.W, rs.H, row.Row, col.Row)
 	ev, err := rs.Base.Cfg.EvalRectTopology(t, c)
 	if err != nil {
 		return RectSolution{}, err
 	}
-	return RectSolution{W: rs.W, H: rs.H, C: c, Row: row.Row, Col: col.Row, Eval: ev,
-		Evals: row.Evals + col.Evals}, nil
+	return RectSolution{W: rs.W, H: rs.H, C: c, Row: row.Row, Col: col.Row, Eval: ev, Evals: evals}, nil
 }
 
 // OptimizeRect sweeps every feasible link limit and returns the best design

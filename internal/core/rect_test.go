@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle/cdg"
 	"explink/internal/topo"
 )
 
@@ -70,6 +70,10 @@ func TestSolveRectSquareMatchesSquareSolver(t *testing.T) {
 	if math.Abs(rectSol.Eval.Total-sqSol.Eval.Total) > 1e-9 {
 		t.Fatalf("evals differ: %g vs %g", rectSol.Eval.Total, sqSol.Eval.Total)
 	}
+	// The column placement is the reused row solve, so its work counts once.
+	if rectSol.Evals != sqSol.Evals {
+		t.Fatalf("square-as-rect spent %d evaluations, the row solve %d", rectSol.Evals, sqSol.Evals)
+	}
 }
 
 func TestSolveRectDeadlockFree(t *testing.T) {
@@ -78,7 +82,7 @@ func TestSolveRectDeadlockFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := route.TopologyCDGAcyclic(rs.Topology(sol), rs.Base.Cfg.Params.Route())
+	ok, err := cdg.TopologyAcyclic(rs.Topology(sol), rs.Base.Cfg.Params.Route())
 	if err != nil {
 		t.Fatal(err)
 	}

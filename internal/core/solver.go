@@ -310,13 +310,10 @@ func (s *Solver) Optimize(ctx context.Context, algo Algorithm) (RowSolution, []R
 		return RowSolution{}, nil, err
 	}
 	all := make([]RowSolution, len(limits))
-	err = forEachIndex(ctx, len(limits), s.Workers, func(i int) error {
-		sol, err := s.SolveRow(ctx, limits[i], algo)
-		if err != nil {
-			return fmt.Errorf("core: C=%d: %w", limits[i], err)
-		}
-		all[i] = sol
-		return nil
+	err = forEachIndex(ctx, len(limits), s.Workers, limitLabel(limits), func(i int) error {
+		var err error
+		all[i], err = s.SolveRow(ctx, limits[i], algo)
+		return err
 	})
 	if err != nil {
 		return RowSolution{}, nil, err
@@ -337,6 +334,11 @@ func (s *Solver) limits() ([]int, error) {
 		return nil, fmt.Errorf("core: no feasible link limits for n=%d", s.Cfg.N)
 	}
 	return limits, nil
+}
+
+// limitLabel names the sub-problems of a sweep over limits by their C.
+func limitLabel(limits []int) func(i int) string {
+	return func(i int) string { return fmt.Sprintf("C=%d", limits[i]) }
 }
 
 // Topology expands a row solution into the full network by the 2D->1D lemma.

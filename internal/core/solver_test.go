@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle/cdg"
 	"explink/internal/topo"
 )
 
@@ -189,7 +189,7 @@ func TestTopologyExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The expanded topology must be deadlock-free under XY routing.
-	ok, err := route.TopologyCDGAcyclic(tp, s.Cfg.Params.Route())
+	ok, err := cdg.TopologyAcyclic(tp, s.Cfg.Params.Route())
 	if err != nil {
 		t.Fatal(err)
 	}

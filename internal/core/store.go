@@ -153,9 +153,6 @@ func sweepTemp(dir string, minAge time.Duration) int64 {
 	return swept
 }
 
-// Dir returns the on-disk directory, or "" for a memory-only store.
-func (st *PlacementStore) Dir() string { return st.dir }
-
 // Counters returns a snapshot of the effectiveness counters.
 func (st *PlacementStore) Counters() StoreCounters {
 	st.mu.Lock()
@@ -163,7 +160,8 @@ func (st *PlacementStore) Counters() StoreCounters {
 	return st.counters
 }
 
-// Len returns the number of cached entries in memory.
+// Len returns the number of cached entries in memory: the core_store_len
+// gauge that a scrape of `expbench -debug-addr`'s /metrics reads.
 func (st *PlacementStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -99,14 +99,20 @@ func (s *Solver) SolveWeighted(ctx context.Context, c int, w TrafficWeights, alg
 		RowEvals: make([]int64, n),
 		ColEvals: make([]int64, n),
 	}
-	err := forEachIndex(ctx, 2*n, s.Workers, func(i int) error {
-		name, x, lines, out, evals := "row", i, w.RowW, sol.Topology.Rows, sol.RowEvals
+	label := func(i int) string {
 		if i >= n {
-			name, x, lines, out, evals = "col", i-n, w.ColW, sol.Topology.Cols, sol.ColEvals
+			return fmt.Sprintf("col %d", i-n)
+		}
+		return fmt.Sprintf("row %d", i)
+	}
+	err := forEachIndex(ctx, 2*n, s.Workers, label, func(i int) error {
+		x, lines, out, evals := i, w.RowW, sol.Topology.Rows, sol.RowEvals
+		if i >= n {
+			x, lines, out, evals = i-n, w.ColW, sol.Topology.Cols, sol.ColEvals
 		}
 		e, ev, err := s.solve(ctx, &lineProblem{kind: "line", c: c, algo: algo, w: lines[x], line: int64(i)}, nil)
 		if err != nil {
-			return fmt.Errorf("core: %s %d: %w", name, x, err)
+			return err
 		}
 		out[x], evals[x] = e[0].Row, ev
 		return nil

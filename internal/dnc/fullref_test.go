@@ -7,7 +7,7 @@ import (
 
 	"explink/internal/bnb"
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle"
 	"explink/internal/topo"
 )
 
@@ -23,8 +23,9 @@ type fullGenerator struct {
 }
 
 func fullInitial(n, c int, p model.Params) Result {
-	scratch, rp := route.NewScratch(), p.Route()
-	obj := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+	rp := p.Route()
+	scratch := oracle.NewScratch(rp.PerHop, rp.PerUnit)
+	obj := scratch.MeanDist
 	g := &fullGenerator{p: p, obj: obj, memo: make(map[[2]int]Result)}
 	res := g.solve(n, c)
 	res.Evals = g.evals

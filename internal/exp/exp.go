@@ -65,9 +65,6 @@ type Options struct {
 // DefaultOptions runs experiments at full fidelity.
 func DefaultOptions() Options { return Options{Seed: 1} }
 
-// QuickOptions runs reduced-size experiments for tests.
-func QuickOptions() Options { return Options{Quick: true, Seed: 1} }
-
 // ctx returns the run context, defaulting to Background.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {

@@ -17,11 +17,10 @@ import (
 // without changing any result (cached solves are bit-identical).
 var testStore, _ = core.NewPlacementStore("")
 
-// quickOpts is QuickOptions plus the shared test store.
+// quickOpts is the reduced-size seed-1 run expbench -quick makes, plus the
+// shared test store.
 func quickOpts() Options {
-	o := QuickOptions()
-	o.Store = testStore
-	return o
+	return Options{Quick: true, Seed: 1, Store: testStore}
 }
 
 // TestRegistryQuickRun is the one table-driven smoke test for the whole
@@ -46,7 +45,7 @@ func TestRegistryQuickRun(t *testing.T) {
 				t.Fatal("report has no tables")
 			}
 			for _, tab := range rep.Tables {
-				if tab.NumRows() == 0 {
+				if len(tab.Rows) == 0 {
 					t.Fatalf("table %q is empty", tab.Title)
 				}
 			}

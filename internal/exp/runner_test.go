@@ -38,7 +38,7 @@ func TestRunAllOrderAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := QuickOptions()
+	opts := Options{Quick: true, Seed: 1}
 	opts.Store = store
 	results := RunAll(context.Background(), sel, opts, 2, nil)
 	if len(results) != 2 {
@@ -70,7 +70,7 @@ func TestRunAllCancelled(t *testing.T) {
 	sel := mustLookup(t, "fig5")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := RunAll(ctx, sel, QuickOptions(), 1, nil)
+	results := RunAll(ctx, sel, Options{Quick: true, Seed: 1}, 1, nil)
 	if results[0].Err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
@@ -89,7 +89,7 @@ func TestRunAllMetricsAndEvents(t *testing.T) {
 	var buf bytes.Buffer
 	ev := obs.NewEventWriter(&buf)
 	sel := mustLookup(t, "table2")
-	results := RunAll(context.Background(), sel, QuickOptions(), 1, ev)
+	results := RunAll(context.Background(), sel, Options{Quick: true, Seed: 1}, 1, ev)
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
 	}

@@ -14,7 +14,9 @@ import (
 
 // HTTPClient is the remote-worker side of the fabric protocol: a Client that
 // speaks to a coordinator's /v1/work endpoints over the service layer's
-// HTTP/JSON surface. The zero value plus a Base URL is usable.
+// HTTP/JSON surface. The zero value plus a Base URL is usable. Only the
+// remote-worker path runs it: `expsweep -worker -connect URL` against a
+// coordinator started with `-addr`.
 type HTTPClient struct {
 	// Base is the coordinator root, e.g. "http://127.0.0.1:8080".
 	Base string

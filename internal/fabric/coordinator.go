@@ -162,9 +162,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Suite returns the campaign spec.
-func (c *Coordinator) Suite() Suite { return c.suite }
-
 // Resumed reports how many units were restored from the journal at startup.
 func (c *Coordinator) Resumed() int {
 	c.mu.Lock()

@@ -74,15 +74,6 @@ func (s Suite) selection() ([]exp.Experiment, error) {
 	return api.SelectExperiments(s.Experiments)
 }
 
-// options builds the exp.Options a unit of this suite runs with.
-func (s Suite) options() exp.Options {
-	opts := exp.DefaultOptions()
-	opts.Quick = s.Quick
-	opts.Seed = s.Seed
-	opts.Replicas = s.Replicas
-	return opts
-}
-
 // Fingerprint is the canonical identity of a suite: sha256 over a preimage
 // covering everything that determines the unit list and its results. Two
 // coordinators with the same fingerprint interchangeably own the same

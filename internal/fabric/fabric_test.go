@@ -304,8 +304,7 @@ func localOutcomes(t *testing.T, s Suite) []exp.Outcome {
 		t.Fatal(err)
 	}
 	store, _ := core.NewPlacementStore("")
-	opts := s.options()
-	opts.Store = store
+	opts := exp.Options{Quick: s.Quick, Seed: s.Seed, Replicas: s.Replicas, Store: store}
 	return exp.RunAll(context.Background(), sel, opts, 1, nil)
 }
 

@@ -191,7 +191,8 @@ func (w *Worker) startHeartbeat(ctx context.Context, cancel context.CancelCauseF
 }
 
 // backoff is the retry delay after the attempt-th consecutive failure,
-// linear and capped at 5s.
+// linear and capped at 5s. It runs when a remote worker cannot reach its
+// coordinator (`expsweep -worker -connect` to a coordinator that is down).
 func backoff(attempt int) time.Duration {
 	d := time.Duration(attempt) * 500 * time.Millisecond
 	if d > 5*time.Second {

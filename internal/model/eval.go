@@ -57,26 +57,19 @@ func (e Eval) String() string {
 // evaluates on a pooled route.Incremental; searches that score many
 // neighboring rows should hold an IncObjective instead.
 func RowMean(row topo.Row, p Params) float64 {
-	inc := rowEvaluator(row, p)
-	defer rowEvals.Put(inc)
-	return inc.Mean()
-}
-
-// rowEvals recycles the evaluators behind RowMean and WeightedRowMean, so
-// one-shot scoring allocates nothing once warm.
-var rowEvals sync.Pool
-
-// rowEvaluator takes a pooled evaluator (or a fresh one when the pooled one
-// was built for another edge-cost model) and resets it to row.
-func rowEvaluator(row topo.Row, p Params) *route.Incremental {
 	rp := p.Route()
 	inc, _ := rowEvals.Get().(*route.Incremental)
 	if inc == nil || inc.Params() != rp {
-		inc = route.NewIncremental(rp)
+		inc = route.NewIncremental(rp) // the pooled one scores another cost model
 	}
+	defer rowEvals.Put(inc)
 	inc.Reset(row)
-	return inc
+	return inc.Mean()
 }
+
+// rowEvals recycles the evaluators behind RowMean, so one-shot scoring
+// allocates nothing once warm.
+var rowEvals sync.Pool
 
 // EvalRow scores a row placement replicated over the whole n x n network at
 // link limit c. By Eq. (5), with identical rows and columns the 2D average
@@ -127,13 +120,6 @@ func (tp *TopoPaths) PairHead(src, dst int) float64 {
 	return tp.Rows[sy].Dist[sx][dx] + tp.Cols[dx].Dist[sy][dy]
 }
 
-// PairHops returns the hop count of the 2D path from src to dst.
-func (tp *TopoPaths) PairHops(src, dst int) int {
-	sx, sy := tp.T.Coords(src)
-	dx, dy := tp.T.Coords(dst)
-	return tp.Rows[sy].Hops[sx][dx] + tp.Cols[dx].Hops[sy][dy]
-}
-
 // MeanHead returns the 2D average head latency over all N²·N² ordered node
 // pairs (Eq. 2 numerator over N·N).
 func (tp *TopoPaths) MeanHead() float64 {
@@ -161,20 +147,6 @@ func (tp *TopoPaths) MaxHead() float64 {
 		}
 	}
 	return m
-}
-
-// MeanHops returns the average 2D hop count over all ordered pairs.
-func (tp *TopoPaths) MeanHops() float64 {
-	n := tp.T.NumRouters()
-	var sum float64
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				sum += float64(tp.PairHops(s, d))
-			}
-		}
-	}
-	return sum / float64(n*n)
 }
 
 // EvalTopology scores a full (possibly non-uniform) topology at link limit c
@@ -215,14 +187,4 @@ func (cfg Config) MaxZeroLoad(t topo.Topology, c int) (float64, error) {
 	zeroLoad.Contention = 0
 	tp := ComputeTopoPaths(t, zeroLoad)
 	return tp.MaxHead() + Serialization(cfg.Mix, w), nil
-}
-
-// WeightedRowMean returns the traffic-weighted average head latency of a row,
-// Σ γ(a,b)·L_D(a,b) / Σ γ(a,b), the application-specific objective of
-// Section 5.6.4. A nil or all-zero weight matrix falls back to the uniform
-// mean. Like RowMean it evaluates on a pooled route.Incremental.
-func WeightedRowMean(row topo.Row, p Params, w [][]float64) float64 {
-	inc := rowEvaluator(row, p)
-	defer rowEvals.Put(inc)
-	return inc.WeightedMean(w)
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -18,28 +17,47 @@ func TestEvalString(t *testing.T) {
 	}
 }
 
+// xyHops is the hop count of the XY route from src to dst through tp's
+// tables: the source-row leg plus the destination-column leg.
+func xyHops(t *testing.T, tp *TopoPaths, src, dst int) int {
+	t.Helper()
+	sx, sy := tp.T.Coords(src)
+	dx, dy := tp.T.Coords(dst)
+	rowLeg, err := tp.Rows[sy].Path(sx, dx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colLeg, err := tp.Cols[dx].Path(sy, dy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rowLeg) - 1 + len(colLeg) - 1
+}
+
 func TestPairAndMeanHops(t *testing.T) {
 	tp := ComputeTopoPaths(topo.Mesh(4), DefaultParams())
 	// Mesh hops are Manhattan distances.
+	var sum int
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			sx, sy := src%4, src/4
 			dx, dy := dst%4, dst/4
-			want := abs(sx-dx) + abs(sy-dy)
-			if got := tp.PairHops(src, dst); got != want {
+			want := max(sx-dx, dx-sx) + max(sy-dy, dy-sy)
+			got := xyHops(t, tp, src, dst)
+			if got != want {
 				t.Fatalf("hops(%d,%d) = %d, want %d", src, dst, got, want)
 			}
+			sum += got
 		}
 	}
 	// Mean over all 256 ordered pairs: 2 * rowMeanDistance where the row
 	// mean over 16 pairs is 20/16.
-	want := 2 * 20.0 / 16.0
-	if got := tp.MeanHops(); math.Abs(got-want) > 1e-12 {
+	if got, want := float64(sum)/256, 2*20.0/16.0; got != want {
 		t.Fatalf("mean hops = %g, want %g", got, want)
 	}
 	// Single-hop everywhere on the flattened butterfly (off-diagonal).
 	fb := ComputeTopoPaths(topo.FlattenedButterfly(4), DefaultParams())
-	if got := fb.PairHops(0, 15); got != 2 { // one row hop + one column hop
+	if got := xyHops(t, fb, 0, 15); got != 2 { // one row hop + one column hop
 		t.Fatalf("FB corner hops = %d", got)
 	}
 }
@@ -78,11 +96,4 @@ func TestValidateMixNegativeFraction(t *testing.T) {
 	if ValidateMix(mix) == nil {
 		t.Fatal("negative fraction accepted")
 	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

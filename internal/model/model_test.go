@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"explink/internal/route"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -193,12 +194,19 @@ func TestTopologyOrderingTable2(t *testing.T) {
 	}
 }
 
+// weightedRowMean scores a row the way IncObjective.WithWeights does.
+func weightedRowMean(row topo.Row, p Params, w [][]float64) float64 {
+	inc := route.NewIncremental(p.Route())
+	inc.Reset(row)
+	return inc.WeightedMean(w)
+}
+
 func TestWeightedRowMean(t *testing.T) {
 	row := topo.MeshRow(4)
 	p := DefaultParams()
-	uniform := WeightedRowMean(row, p, nil)
+	uniform := weightedRowMean(row, p, nil)
 	// Weight matrix with all ones must (almost) reproduce the unweighted
-	// mean, scaled by the diagonal convention: MeanDist divides by n², the
+	// mean, scaled by the diagonal convention: the mean divides by n², the
 	// weighted version divides by the weight sum over i != j.
 	w := make([][]float64, 4)
 	for i := range w {
@@ -209,7 +217,7 @@ func TestWeightedRowMean(t *testing.T) {
 			}
 		}
 	}
-	weighted := WeightedRowMean(row, p, w)
+	weighted := weightedRowMean(row, p, w)
 	wantRatio := 16.0 / 12.0 // n² pairs vs n(n-1) pairs
 	if math.Abs(weighted-uniform*wantRatio) > 1e-9 {
 		t.Fatalf("weighted = %g, uniform = %g", weighted, uniform)
@@ -220,7 +228,7 @@ func TestWeightedRowMean(t *testing.T) {
 		w2[i] = make([]float64, 4)
 	}
 	w2[0][3] = 1
-	if got := WeightedRowMean(row, p, w2); math.Abs(got-12) > 1e-9 {
+	if got := weightedRowMean(row, p, w2); math.Abs(got-12) > 1e-9 {
 		t.Fatalf("point weight = %g, want 12", got)
 	}
 	// All-zero weights fall back to the uniform mean.
@@ -228,16 +236,13 @@ func TestWeightedRowMean(t *testing.T) {
 	for i := range w3 {
 		w3[i] = make([]float64, 4)
 	}
-	if got := WeightedRowMean(row, p, w3); math.Abs(got-uniform) > 1e-9 {
+	if got := weightedRowMean(row, p, w3); math.Abs(got-uniform) > 1e-9 {
 		t.Fatalf("zero weights = %g, want %g", got, uniform)
 	}
 }
 
 func TestMeanPacketBitsAndFlits(t *testing.T) {
 	mix := DefaultMix()
-	if got := MeanPacketBits(mix); math.Abs(got-(0.8*128+0.2*512)) > 1e-12 {
-		t.Fatalf("mean bits = %g", got)
-	}
 	if got := Serialization(mix, 256); math.Abs(got-1.2) > 1e-12 {
 		t.Fatalf("mean flits = %g", got)
 	}

@@ -10,11 +10,11 @@ import (
 // so a single-bit candidate re-routes only the sources whose shortest paths
 // can cross the changed spans instead of the whole row.
 //
-// Values are bit-identical to RowMean and WeightedRowMean on the decoded row
-// (and to re-routing the whole row from scratch) — including the optional
-// worst-case blend used by the core solver, computed as (1-w)·mean + w·max —
-// so searches driven by an IncObjective follow exactly the same trajectory
-// as full-evaluation runs.
+// Values are bit-identical to RowMean on the decoded row and to re-routing
+// the whole row from scratch, as the test oracle oracle.Scratch does,
+// including the optional worst-case blend used by the core solver, computed
+// as (1-w)·mean + w·max. Searches driven by an IncObjective therefore follow
+// exactly the same trajectory as full-evaluation runs.
 //
 // An IncObjective owns routing state and is not safe for concurrent use;
 // create one per goroutine (per SA run, per solver line).
@@ -35,9 +35,9 @@ func NewIncObjective(p Params) *IncObjective {
 	return &IncObjective{inc: route.NewIncremental(p.Route())}
 }
 
-// WithWeights switches scoring to the traffic-weighted mean (WeightedRowMean)
-// against w, with the same nil/all-zero uniform fallback. It returns the
-// receiver for chaining.
+// WithWeights switches scoring to the traffic-weighted mean against w,
+// Σ w[i][j]·L_D(i,j) / Σ w[i][j] (Section 5.6.4), falling back to the uniform
+// mean when w is nil or all-zero. It returns the receiver for chaining.
 func (o *IncObjective) WithWeights(w [][]float64) *IncObjective {
 	o.w = w
 	return o

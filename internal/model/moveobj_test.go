@@ -6,7 +6,7 @@ import (
 
 	"explink/internal/anneal"
 	"explink/internal/model"
-	"explink/internal/route"
+	"explink/internal/oracle"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
@@ -30,7 +30,7 @@ func (o *scratchObjective) Commit()            {}
 func (o *scratchObjective) Revert()            { o.m.FlipAt(o.pending) }
 
 // runPair runs the same annealing search twice — once through a
-// full-evaluation route.Scratch objective, once through the move-aware
+// full-evaluation oracle.Scratch objective, once through the move-aware
 // IncObjective — from identical RNG streams, and asserts the two results are
 // bit-for-bit identical: same objective, same best matrix and row, same
 // eval/accept/memo accounting. This is the contract that keeps SA
@@ -78,8 +78,8 @@ func TestIncObjectiveBitIdenticalMean(t *testing.T) {
 	p := model.DefaultParams()
 	for _, size := range []struct{ n, c int }{{4, 2}, {8, 3}, {16, 4}} {
 		init := randomInit(size.n, size.c, uint64(size.n))
-		scratch, rp := route.NewScratch(), p.Route()
-		full := func(r topo.Row) float64 { return scratch.MeanDist(r, rp) }
+		rp := p.Route()
+		full := oracle.NewScratch(rp.PerHop, rp.PerUnit).MeanDist
 		runPair(t, init, full, model.NewIncObjective(p), 42+uint64(size.n))
 	}
 }
@@ -95,8 +95,9 @@ func TestIncObjectiveBitIdenticalWeighted(t *testing.T) {
 			}
 		}
 		init := randomInit(size.n, size.c, 7*uint64(size.n))
-		scratch, rp := route.NewScratch(), p.Route()
-		full := func(r topo.Row) float64 { return scratch.WeightedMean(r, rp, w) }
+		rp := p.Route()
+		scratch := oracle.NewScratch(rp.PerHop, rp.PerUnit)
+		full := func(r topo.Row) float64 { return scratch.WeightedMean(r, w) }
 		runPair(t, init, full, model.NewIncObjective(p).WithWeights(w), 99+uint64(size.n))
 	}
 }
@@ -104,10 +105,10 @@ func TestIncObjectiveBitIdenticalWeighted(t *testing.T) {
 func TestIncObjectiveBitIdenticalWorstBlend(t *testing.T) {
 	p := model.DefaultParams()
 	for _, blend := range []float64{0.25, 1} {
-		scratch := route.NewScratch()
 		rp := p.Route()
+		scratch := oracle.NewScratch(rp.PerHop, rp.PerUnit)
 		obj := func(r topo.Row) float64 {
-			mean, max := scratch.MeanMax(r, rp)
+			mean, max := scratch.MeanMax(r)
 			return (1-blend)*mean + blend*max
 		}
 		init := randomInit(12, 3, uint64(blend*8))

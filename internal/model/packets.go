@@ -66,12 +66,3 @@ func Serialization(mix []PacketClass, widthBits int) float64 {
 	}
 	return s
 }
-
-// MeanPacketBits returns the average packet size of the mix.
-func MeanPacketBits(mix []PacketClass) float64 {
-	var s float64
-	for _, c := range mix {
-		s += c.Frac * float64(c.Bits)
-	}
-	return s
-}

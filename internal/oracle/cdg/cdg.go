@@ -1,16 +1,17 @@
-package route
+// Package cdg checks the deadlock-freedom argument of Section 4.5.1: packets
+// traverse each dimension monotonically (no U-turns) and turn from X to Y
+// only, so the channel dependency graph (CDG) is acyclic. Rather than
+// trusting the argument, tests build the CDG induced by the actual routing
+// tables of route.Compute and check it for cycles. Like its parent package
+// oracle, no binary links it.
+package cdg
 
 import (
 	"fmt"
 
+	"explink/internal/route"
 	"explink/internal/topo"
 )
-
-// This file verifies the deadlock-freedom argument of Section 4.5.1: packets
-// traverse each dimension monotonically (no U-turns) and turn from X to Y
-// only, so the channel dependency graph (CDG) is acyclic. Rather than
-// trusting the argument, tests build the CDG induced by the actual routing
-// tables and check it for cycles.
 
 // channelID identifies one directed network channel. dim is 0 for X (row)
 // channels and 1 for Y (column) channels; line is the row or column index;
@@ -19,15 +20,15 @@ type channelID struct {
 	dim, line, from, to int
 }
 
-type cdg struct {
+type graph struct {
 	adj map[channelID]map[channelID]bool
 }
 
-func newCDG() *cdg {
-	return &cdg{adj: make(map[channelID]map[channelID]bool)}
+func newGraph() *graph {
+	return &graph{adj: make(map[channelID]map[channelID]bool)}
 }
 
-func (g *cdg) addDep(a, b channelID) {
+func (g *graph) addDep(a, b channelID) {
 	if g.adj[a] == nil {
 		g.adj[a] = make(map[channelID]bool)
 	}
@@ -38,7 +39,7 @@ func (g *cdg) addDep(a, b channelID) {
 }
 
 // acyclic runs an iterative three-color DFS over the dependency graph.
-func (g *cdg) acyclic() bool {
+func (g *graph) acyclic() bool {
 	const (
 		white = 0
 		gray  = 1
@@ -85,21 +86,19 @@ func keys(m map[channelID]bool) []channelID {
 	return out
 }
 
-// RowCDGAcyclic builds the CDG induced by the row's routing tables (every
+// RowAcyclic builds the CDG induced by one row's routing tables (every
 // source-destination pair on the line) and reports whether it is acyclic.
-func RowCDGAcyclic(row topo.Row, paths *RowPaths) (bool, error) {
-	g := newCDG()
-	if err := addLineDeps(g, paths, 0, 0, nil); err != nil {
+func RowAcyclic(paths *route.RowPaths) (bool, error) {
+	g := newGraph()
+	if err := addLineDeps(g, paths, 0, 0); err != nil {
 		return false, err
 	}
 	return g.acyclic(), nil
 }
 
 // addLineDeps walks every routed pair on one line (dim/line identify it) and
-// records channel-to-channel dependencies. If tail is non-nil it is invoked
-// with the last channel of every path so the caller can chain cross-dimension
-// dependencies (the X-to-Y turn).
-func addLineDeps(g *cdg, paths *RowPaths, dim, line int, onPath func(src, dst int, chs []channelID)) error {
+// records channel-to-channel dependencies.
+func addLineDeps(g *graph, paths *route.RowPaths, dim, line int) error {
 	for i := 0; i < paths.N; i++ {
 		for j := 0; j < paths.N; j++ {
 			if i == j {
@@ -119,38 +118,35 @@ func addLineDeps(g *cdg, paths *RowPaths, dim, line int, onPath func(src, dst in
 			if len(chs) > 0 && g.adj[chs[0]] == nil {
 				g.adj[chs[0]] = make(map[channelID]bool)
 			}
-			if onPath != nil {
-				onPath(i, j, chs)
-			}
 		}
 	}
 	return nil
 }
 
-// TopologyCDGAcyclic builds the full 2D channel dependency graph induced by
-// XY dimension-order routing with the per-row and per-column tables of the
+// TopologyAcyclic builds the full 2D channel dependency graph induced by XY
+// dimension-order routing with the per-row and per-column tables of the
 // topology and reports whether it is acyclic (i.e. routing is deadlock-free).
-func TopologyCDGAcyclic(t topo.Topology, p Params) (bool, error) {
-	g := newCDG()
+func TopologyAcyclic(t topo.Topology, p route.Params) (bool, error) {
+	g := newGraph()
 	w, h := t.W, t.H
 
-	rowPaths := make([]*RowPaths, h)
-	colPaths := make([]*RowPaths, w)
+	rowPaths := make([]*route.RowPaths, h)
+	colPaths := make([]*route.RowPaths, w)
 	for y := 0; y < h; y++ {
-		rowPaths[y] = Compute(t.Rows[y], p)
+		rowPaths[y] = route.Compute(t.Rows[y], p)
 	}
 	for x := 0; x < w; x++ {
-		colPaths[x] = Compute(t.Cols[x], p)
+		colPaths[x] = route.Compute(t.Cols[x], p)
 	}
 
 	// Intra-dimension dependencies.
 	for y := 0; y < h; y++ {
-		if err := addLineDeps(g, rowPaths[y], 0, y, nil); err != nil {
+		if err := addLineDeps(g, rowPaths[y], 0, y); err != nil {
 			return false, fmt.Errorf("row %d: %w", y, err)
 		}
 	}
 	for x := 0; x < w; x++ {
-		if err := addLineDeps(g, colPaths[x], 1, x, nil); err != nil {
+		if err := addLineDeps(g, colPaths[x], 1, x); err != nil {
 			return false, fmt.Errorf("col %d: %w", x, err)
 		}
 	}

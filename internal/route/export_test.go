@@ -9,3 +9,10 @@ func CountRelaxed(c *atomic.Int64) (restore func()) {
 	relaxed = c
 	return func() { relaxed = prev }
 }
+
+// RandomRow and TestParams give the external tests the in-package row
+// generator and cost model.
+var (
+	RandomRow  = randomRow
+	TestParams = testParams
+)

@@ -24,38 +24,28 @@ func ComputeFloydWarshall(row topo.Row, p Params) *RowPaths {
 			}
 			rp.Dist[i][j] = src.dist[i][j]
 			rp.Next[i][j] = src.next[i][j]
-			rp.Hops[i][j] = src.hops[i][j]
-			rp.Units[i][j] = src.units[i][j]
 		}
 		rp.Dist[i][i] = 0
 		rp.Next[i][i] = i
-		rp.Hops[i][i] = 0
-		rp.Units[i][i] = 0
 	}
 	return rp
 }
 
 type fwResult struct {
-	dist  [][]float64
-	next  [][]int
-	hops  [][]int
-	units [][]int
+	dist [][]float64
+	next [][]int
 }
 
 func fwDirection(row topo.Row, p Params, rightward bool) fwResult {
 	n := row.N
 	inf := math.Inf(1)
 	r := fwResult{
-		dist:  make([][]float64, n),
-		next:  make([][]int, n),
-		hops:  make([][]int, n),
-		units: make([][]int, n),
+		dist: make([][]float64, n),
+		next: make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
 		r.dist[i] = make([]float64, n)
 		r.next[i] = make([]int, n)
-		r.hops[i] = make([]int, n)
-		r.units[i] = make([]int, n)
 		for j := 0; j < n; j++ {
 			r.dist[i][j] = inf
 			r.next[i][j] = -1
@@ -71,8 +61,6 @@ func fwDirection(row topo.Row, p Params, rightward bool) fwResult {
 		if w := p.EdgeCost(length); w < r.dist[u][v] {
 			r.dist[u][v] = w
 			r.next[u][v] = v
-			r.hops[u][v] = 1
-			r.units[u][v] = length
 		}
 	}
 	for u := 0; u < n-1; u++ {
@@ -98,8 +86,6 @@ func fwDirection(row topo.Row, p Params, rightward bool) fwResult {
 				if d := r.dist[i][k] + r.dist[k][j]; d < r.dist[i][j] {
 					r.dist[i][j] = d
 					r.next[i][j] = r.next[i][k]
-					r.hops[i][j] = r.hops[i][k] + r.hops[k][j]
-					r.units[i][j] = r.units[i][k] + r.units[k][j]
 				}
 			}
 		}

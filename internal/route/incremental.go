@@ -15,15 +15,15 @@ var relaxed *atomic.Int64
 // simulated-annealing connection-matrix walk, the divide-and-conquer
 // cross-link scan and the branch-and-bound tree all step between placements
 // that differ by a handful of spans. Instead of re-routing all n sources per
-// candidate the way Scratch.MeanMax does, an Incremental keeps the distance
-// matrix of the current row and, on each move, recomputes only the sources
-// whose shortest paths can cross a changed span — resuming each sweep at the
-// changed region and stopping early once the recomputed distances reconverge
-// with the stored ones.
+// candidate the way the test oracle oracle.Scratch does, an Incremental keeps
+// the distance matrix of the current row and, on each move, recomputes only
+// the sources whose shortest paths can cross a changed span — resuming each
+// sweep at the changed region and stopping early once the recomputed
+// distances reconverge with the stored ones.
 //
-// Every value it returns is bit-identical to the corresponding Scratch
-// evaluation of the same row (Scratch.MeanMax, Scratch.MeanDist,
-// Scratch.WeightedMean). Params.Check bounds the costs so that every
+// Every value it returns is bit-identical to the corresponding oracle.Scratch
+// evaluation of the same row (MeanMax, MeanDist, WeightedMean).
+// Params.Check bounds the costs so that every
 // distance and every sum is an integer that both int64 and float64 hold
 // exactly: the leftward i->j distance is the rightward j->i one, so only the
 // upper triangle is swept and stored, as int64, and the uniform mean comes
@@ -49,8 +49,8 @@ type Incremental struct {
 	p Params
 	// Incoming express edges per router, by direction. The local link from
 	// the neighbouring router is implicit: it always exists, so unlike
-	// Scratch the sweeps neither store it nor test for unreachable routers —
-	// every distance in a contiguous row is finite.
+	// oracle.Scratch the sweeps neither store it nor test for unreachable
+	// routers — every distance in a contiguous row is finite.
 	exRight [][]int
 	exLeft  [][]int
 	cost    []int64 // cost[d] = p.EdgeCost(d), precomputed per unit length
@@ -124,9 +124,6 @@ func NewIncremental(p Params) *Incremental {
 
 // Params returns the edge-cost model the evaluator scores with.
 func (inc *Incremental) Params() Params { return inc.p }
-
-// N returns the router count of the current row (0 before the first Reset).
-func (inc *Incremental) N() int { return inc.n }
 
 // Reset adopts the row as the new current state: it rebuilds the adjacency,
 // recomputes the full distance matrix and discards any open moves. It panics
@@ -379,13 +376,13 @@ func (inc *Incremental) sweepDirty() {
 }
 
 // sweepRight recomputes source i's rightward distances from position `from`
-// (clamped past the source) to the row end, with Scratch.distRow's
+// (clamped past the source) to the row end, with oracle.Scratch's
 // relaxation: the minimum is over the same candidate set with the same
 // per-edge cost values (cost[d] is the integer EdgeCost(d) holds exactly),
 // and min is order-independent, so every stored distance equals a full
 // evaluation's. While a move is open, each overwritten distance is logged
-// for Revert. The local link from v-1 always exists, seeding the
-// minimum without Scratch's reachability guard. Positions left of `from` are
+// for Revert. The local link from v-1 always exists, seeding the minimum
+// without oracle.Scratch's reachability guard. Positions left of `from` are
 // unaffected by pending spans, so their stored values feed the resumed
 // recurrence unchanged. The sweep stops at the first position past `barrier`
 // (the rightmost changed-span endpoint) that no changed position can still
@@ -435,9 +432,9 @@ func (inc *Incremental) sweepRight(i, from, barrier int) int {
 }
 
 // MeanMax returns the mean and maximum directional pair distance of the
-// current state, bit-identical to Scratch.MeanMax on the equivalent row: the
-// mean as Mean computes it, the maximum from the upper triangle, which holds
-// every value. It is reached only through model.IncObjective's
+// current state, bit-identical to oracle.Scratch.MeanMax on the equivalent
+// row: the mean as Mean computes it, the maximum from the upper triangle,
+// which holds every value. It is reached only through model.IncObjective's
 // worst-case-weighted score (Config.WorstWeight > 0): the /v1/solve requests
 // with worstWeight > 0 that perfbench's solve-cold workload sends.
 func (inc *Incremental) MeanMax() (mean, maxDist float64) {
@@ -453,23 +450,23 @@ func (inc *Incremental) MeanMax() (mean, maxDist float64) {
 }
 
 // Mean returns the mean directional pair distance of the current state,
-// bit-identical to Scratch.MeanDist on the equivalent row.
+// bit-identical to oracle.Scratch.MeanDist on the equivalent row.
 func (inc *Incremental) Mean() float64 {
 	inc.sync()
 	return inc.mean()
 }
 
-// mean is O(1): Scratch's ordered sum of the n² exact integers equals their
-// true sum, which is twice the upper triangle and below 2^53, so converting
-// it to float64 and dividing by the same n² gives the same bits.
+// mean is O(1): oracle.Scratch's ordered sum of the n² exact integers equals
+// their true sum, which is twice the upper triangle and below 2^53, so
+// converting it to float64 and dividing by the same n² gives the same bits.
 func (inc *Incremental) mean() float64 {
 	return float64(2*inc.upper) / float64(inc.n*inc.n)
 }
 
 // WeightedMean returns the w-weighted mean pair distance of the current
-// state with Scratch.WeightedMean's exact accumulation order and nil/all-zero
-// fallback contract. The lower triangle is read transposed, in the same
-// order, so the sums see the same values.
+// state with oracle.Scratch.WeightedMean's exact accumulation order and
+// nil/all-zero fallback contract. The lower triangle is read transposed, in
+// the same order, so the sums see the same values.
 func (inc *Incremental) WeightedMean(w [][]float64) float64 {
 	inc.sync()
 	n := inc.n

@@ -49,7 +49,7 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 		}
 		m := topo.NewConnMatrix(n, c)
 		inc := NewIncremental(p)
-		s := NewScratch()
+		s := newScratch(p)
 		inc.Reset(m.Row())
 		var rem, add []topo.Span
 		for step, op := range ops {
@@ -63,16 +63,16 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 			row := m.Row()
 			// Mean first: it is the production query of scalar searches, and
 			// must not rely on an earlier reduction having synced the state.
-			if got, want := inc.Mean(), s.MeanDist(row, p); got != want {
+			if got, want := inc.Mean(), s.MeanDist(row); got != want {
 				t.Fatalf("%+v step %d flip %d: Mean = %v, want %v for row %v", p, step, bit, got, want, row)
 			}
-			wantMean, wantMax := s.MeanMax(row, p)
+			wantMean, wantMax := s.MeanMax(row)
 			gotMean, gotMax := inc.MeanMax()
 			if gotMean != wantMean || gotMax != wantMax {
 				t.Fatalf("%+v step %d flip %d: MeanMax = (%v, %v), want (%v, %v) for row %v",
 					p, step, bit, gotMean, gotMax, wantMean, wantMax, row)
 			}
-			if got, want := inc.WeightedMean(w), s.WeightedMean(row, p, w); got != want {
+			if got, want := inc.WeightedMean(w), s.WeightedMean(row, w); got != want {
 				t.Fatalf("%+v step %d flip %d: WeightedMean = %v, want %v", p, step, bit, got, want)
 			}
 			if op&0x80 != 0 {
@@ -80,10 +80,10 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 			} else {
 				m.FlipAt(bit)
 				inc.Revert()
-				if got, want := inc.Mean(), s.MeanDist(m.Row(), p); got != want {
+				if got, want := inc.Mean(), s.MeanDist(m.Row()); got != want {
 					t.Fatalf("%+v step %d revert %d: Mean = %v, want %v", p, step, bit, got, want)
 				}
-				wantMean, wantMax = s.MeanMax(m.Row(), p)
+				wantMean, wantMax = s.MeanMax(m.Row())
 				gotMean, gotMax = inc.MeanMax()
 				if gotMean != wantMean || gotMax != wantMax {
 					t.Fatalf("%+v step %d revert %d: MeanMax = (%v, %v), want (%v, %v)",
@@ -134,12 +134,12 @@ func FuzzIncrementalUndo(f *testing.F) {
 		m := topo.NewConnMatrix(sz.n, sz.c)
 		inc := NewIncremental(p)
 		fresh := NewIncremental(p)
-		s := NewScratch()
+		s := newScratch(p)
 		inc.Reset(m.Row())
 		var rem, add []topo.Span
 		var open []frame
 		query := func(step int, what string) {
-			if got, want := inc.Mean(), s.MeanDist(m.Row(), p); got != want {
+			if got, want := inc.Mean(), s.MeanDist(m.Row()); got != want {
 				t.Fatalf("%+v step %d %s: Mean = %v, want %v for row %v", p, step, what, got, want, m.Row())
 			}
 		}
@@ -174,7 +174,7 @@ func FuzzIncrementalUndo(f *testing.F) {
 					}
 				}
 			}
-			if got, want := c.Mean(), s.MeanDist(row, p); got != want {
+			if got, want := c.Mean(), s.MeanDist(row); got != want {
 				t.Fatalf("%+v step %d close (commit %v): Mean = %v, want %v for row %v", p, step, commit, got, want, row)
 			}
 		}

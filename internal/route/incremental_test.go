@@ -11,7 +11,7 @@ import (
 // reference recomputes the full-evaluation answers for the incremental
 // evaluator's current logical row.
 func refMeanMax(row topo.Row) (float64, float64) {
-	return NewScratch().MeanMax(row, testParams)
+	return newScratch(testParams).MeanMax(row)
 }
 
 func TestIncrementalResetMatchesScratch(t *testing.T) {
@@ -19,13 +19,13 @@ func TestIncrementalResetMatchesScratch(t *testing.T) {
 	// exactly like a fresh Scratch, proving buffer reuse leaks no stale state.
 	rng := stats.NewRNG(7)
 	inc := NewIncremental(testParams)
-	s := NewScratch()
+	s := newScratch(testParams)
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(14)
 		c := 1 + rng.Intn(6)
 		row := randomRow(rng, n, c)
 		inc.Reset(row)
-		wantMean, wantMax := s.MeanMax(row, testParams)
+		wantMean, wantMax := s.MeanMax(row)
 		gotMean, gotMax := inc.MeanMax()
 		if gotMean != wantMean || gotMax != wantMax {
 			t.Fatalf("trial %d (row %v): MeanMax = (%v, %v), want (%v, %v)",
@@ -57,7 +57,7 @@ func TestIncrementalFlipRevertCommitMatchesScratch(t *testing.T) {
 	// evaluation of the shadow row, for all three reductions.
 	rng := stats.NewRNG(11)
 	inc := NewIncremental(testParams)
-	s := NewScratch()
+	s := newScratch(testParams)
 	for _, n := range []int{4, 8, 16} {
 		w := make([][]float64, n)
 		for i := range w {
@@ -80,13 +80,13 @@ func TestIncrementalFlipRevertCommitMatchesScratch(t *testing.T) {
 			inc.Update(removed, added)
 			cand := applyEdit(shadow.Express, removed, added)
 			candRow := topo.Row{N: n, Express: cand}
-			wantMean, wantMax := s.MeanMax(candRow, testParams)
+			wantMean, wantMax := s.MeanMax(candRow)
 			gotMean, gotMax := inc.MeanMax()
 			if gotMean != wantMean || gotMax != wantMax {
 				t.Fatalf("n=%d step %d: flip %v: MeanMax = (%v, %v), want (%v, %v)",
 					n, step, sp, gotMean, gotMax, wantMean, wantMax)
 			}
-			if got, want := inc.WeightedMean(w), s.WeightedMean(candRow, testParams, w); got != want {
+			if got, want := inc.WeightedMean(w), s.WeightedMean(candRow, w); got != want {
 				t.Fatalf("n=%d step %d: WeightedMean = %v, want %v", n, step, got, want)
 			}
 			if rng.Bool(0.5) {
@@ -94,7 +94,7 @@ func TestIncrementalFlipRevertCommitMatchesScratch(t *testing.T) {
 				shadow = candRow
 			} else {
 				inc.Revert()
-				wantMean, wantMax = s.MeanMax(shadow, testParams)
+				wantMean, wantMax = s.MeanMax(shadow)
 				gotMean, gotMax = inc.MeanMax()
 				if gotMean != wantMean || gotMax != wantMax {
 					t.Fatalf("n=%d step %d: after revert: MeanMax = (%v, %v), want (%v, %v)",
@@ -142,23 +142,23 @@ func TestIncrementalNestedMovesLIFO(t *testing.T) {
 	// restore the exact pre-move answers at every level.
 	rng := stats.NewRNG(23)
 	inc := NewIncremental(testParams)
-	s := NewScratch()
+	s := newScratch(testParams)
 	row := randomRow(rng, 12, 3)
 	inc.Reset(row)
 	a, b := topo.Span{From: 0, To: 6}, topo.Span{From: 3, To: 11}
 	inc.Update(nil, []topo.Span{a})
 	inc.Update(nil, []topo.Span{b})
 	bothRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a, b)}
-	if got, want := inc.Mean(), s.MeanDist(bothRow, testParams); got != want {
+	if got, want := inc.Mean(), s.MeanDist(bothRow); got != want {
 		t.Fatalf("nested adds: Mean = %v, want %v", got, want)
 	}
 	inc.Revert() // undo b
 	oneRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a)}
-	if got, want := inc.Mean(), s.MeanDist(oneRow, testParams); got != want {
+	if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
 		t.Fatalf("after inner revert: Mean = %v, want %v", got, want)
 	}
 	inc.Commit() // keep a
-	if got, want := inc.Mean(), s.MeanDist(oneRow, testParams); got != want {
+	if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
 		t.Fatalf("after commit: Mean = %v, want %v", got, want)
 	}
 }

@@ -1,7 +1,8 @@
 // Package route computes the deterministic, deadlock-free routing the paper
 // deploys on express-link rows (Section 4.5.1): per-direction shortest paths
-// within a row (or column), next-hop lookup tables for each router (Fig. 3b),
-// and channel-dependency-graph checks proving deadlock freedom.
+// within a row (or column) and next-hop lookup tables for each router
+// (Fig. 3b). The channel-dependency-graph check that proves the routing
+// deadlock-free is the test-only package oracle/cdg.
 //
 // Packets traverse a row monotonically (no U-turns), so the rightward and
 // leftward link sets form two DAGs. The paper computes shortest paths with

@@ -10,14 +10,11 @@ import (
 // RowPaths holds directional shortest paths for one row placement.
 // Dist[i][j] is the head latency from router i to j obeying the
 // no-U-turn rule (rightward links only for j > i, leftward only for j < i).
-// Next[i][j] is the first hop on that path (Next[i][i] == i). Hops and Units
-// record the hop count and total Manhattan length of the chosen path.
+// Next[i][j] is the first hop on that path (Next[i][i] == i).
 type RowPaths struct {
-	N     int
-	Dist  [][]float64
-	Next  [][]int
-	Hops  [][]int
-	Units [][]int
+	N    int
+	Dist [][]float64
+	Next [][]int
 }
 
 // Compute returns directional shortest paths for the row using a DAG dynamic
@@ -65,10 +62,6 @@ func Compute(row topo.Row, p Params) *RowPaths {
 			}
 			rp.Dist[i][v] = best
 			parent[v] = bestU
-			if bestU >= 0 {
-				rp.Hops[i][v] = rp.Hops[i][bestU] + 1
-				rp.Units[i][v] = rp.Units[i][bestU] + (v - bestU)
-			}
 		}
 		// Leftward sweep from source i.
 		for v := i - 1; v >= 0; v-- {
@@ -84,10 +77,6 @@ func Compute(row topo.Row, p Params) *RowPaths {
 			}
 			rp.Dist[i][v] = best
 			parent[v] = bestU
-			if bestU >= 0 {
-				rp.Hops[i][v] = rp.Hops[i][bestU] + 1
-				rp.Units[i][v] = rp.Units[i][bestU] + (bestU - v)
-			}
 		}
 		// Extract first hops by walking parents back to the source.
 		for j := 0; j < n; j++ {
@@ -106,17 +95,13 @@ func Compute(row topo.Row, p Params) *RowPaths {
 
 func newRowPaths(n int) *RowPaths {
 	rp := &RowPaths{
-		N:     n,
-		Dist:  make([][]float64, n),
-		Next:  make([][]int, n),
-		Hops:  make([][]int, n),
-		Units: make([][]int, n),
+		N:    n,
+		Dist: make([][]float64, n),
+		Next: make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
 		rp.Dist[i] = make([]float64, n)
 		rp.Next[i] = make([]int, n)
-		rp.Hops[i] = make([]int, n)
-		rp.Units[i] = make([]int, n)
 		for j := 0; j < n; j++ {
 			rp.Dist[i][j] = math.Inf(1)
 			rp.Next[i][j] = -1
@@ -125,7 +110,9 @@ func newRowPaths(n int) *RowPaths {
 	return rp
 }
 
-// Path returns the router sequence from i to j (inclusive of both ends).
+// Path returns the router sequence from i to j (inclusive of both ends). No
+// binary walks a route: the channel-dependency check in oracle/cdg and the
+// package example do.
 func (rp *RowPaths) Path(i, j int) ([]int, error) {
 	if i < 0 || j < 0 || i >= rp.N || j >= rp.N {
 		return nil, fmt.Errorf("route: path endpoints %d,%d out of range", i, j)
@@ -133,38 +120,11 @@ func (rp *RowPaths) Path(i, j int) ([]int, error) {
 	path := []int{i}
 	for v := i; v != j; {
 		nxt := rp.Next[v][j]
-		if nxt < 0 || nxt == v {
+		if nxt < 0 || nxt == v || len(path) == rp.N { // a route visits each router once
 			return nil, fmt.Errorf("route: no path from %d to %d (stuck at %d)", i, j, v)
 		}
 		path = append(path, nxt)
 		v = nxt
 	}
 	return path, nil
-}
-
-// MeanDist returns the average of Dist over all N² ordered pairs, including
-// the zero i==j diagonal, matching the N·N denominator of Eq. (2).
-func (rp *RowPaths) MeanDist() float64 {
-	var sum float64
-	for i := 0; i < rp.N; i++ {
-		for j := 0; j < rp.N; j++ {
-			if i != j {
-				sum += rp.Dist[i][j]
-			}
-		}
-	}
-	return sum / float64(rp.N*rp.N)
-}
-
-// MaxDist returns the largest pairwise head latency on the row.
-func (rp *RowPaths) MaxDist() float64 {
-	m := 0.0
-	for i := 0; i < rp.N; i++ {
-		for j := 0; j < rp.N; j++ {
-			if rp.Dist[i][j] > m {
-				m = rp.Dist[i][j]
-			}
-		}
-	}
-	return m
 }

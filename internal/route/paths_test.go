@@ -5,11 +5,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"explink/internal/oracle"
 	"explink/internal/stats"
 	"explink/internal/topo"
 )
 
 var testParams = Params{PerHop: 3, PerUnit: 1}
+
+// newScratch returns the full-evaluation oracle for the cost model p.
+func newScratch(p Params) *oracle.Scratch { return oracle.NewScratch(p.PerHop, p.PerUnit) }
+
+// tableMeanMax folds a routing table's Dist into the mean over all N² ordered
+// pairs (the zero diagonal included, Eq. (2)'s N·N denominator) and the
+// largest pair distance. It sums in row-major pair order, as the evaluators do.
+func tableMeanMax(rp *RowPaths) (mean, max float64) {
+	var sum float64
+	for i := 0; i < rp.N; i++ {
+		for j := 0; j < rp.N; j++ {
+			if i != j {
+				sum += rp.Dist[i][j]
+				max = math.Max(max, rp.Dist[i][j])
+			}
+		}
+	}
+	return sum / float64(rp.N*rp.N), max
+}
 
 // randomRow builds a random feasible row (duplicated from topo tests to stay
 // within this package).
@@ -31,6 +51,20 @@ func randomRow(rng *stats.RNG, n, c int) topo.Row {
 	return r
 }
 
+// pathHopsUnits returns the hop count and total Manhattan length of the
+// routed path from i to j.
+func pathHopsUnits(t *testing.T, rp *RowPaths, i, j int) (hops, units int) {
+	t.Helper()
+	p, err := rp.Path(i, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < len(p); k++ {
+		units += max(p[k]-p[k-1], p[k-1]-p[k])
+	}
+	return len(p) - 1, units
+}
+
 func TestMeshRowDistances(t *testing.T) {
 	rp := Compute(topo.MeshRow(8), testParams)
 	for i := 0; i < 8; i++ {
@@ -40,11 +74,8 @@ func TestMeshRowDistances(t *testing.T) {
 			if rp.Dist[i][j] != want {
 				t.Fatalf("mesh dist(%d,%d) = %g, want %g", i, j, rp.Dist[i][j], want)
 			}
-			if i != j {
-				wantHops := int(d)
-				if rp.Hops[i][j] != wantHops || rp.Units[i][j] != wantHops {
-					t.Fatalf("mesh hops/units(%d,%d) = %d/%d", i, j, rp.Hops[i][j], rp.Units[i][j])
-				}
+			if hops, units := pathHopsUnits(t, rp, i, j); i != j && (hops != int(d) || units != int(d)) {
+				t.Fatalf("mesh hops/units(%d,%d) = %d/%d", i, j, hops, units)
 			}
 		}
 	}
@@ -64,8 +95,8 @@ func TestFlatButterflyRowDistances(t *testing.T) {
 			if rp.Dist[i][j] != want {
 				t.Fatalf("FB dist(%d,%d) = %g, want %g", i, j, rp.Dist[i][j], want)
 			}
-			if rp.Hops[i][j] != 1 {
-				t.Fatalf("FB hops(%d,%d) = %d", i, j, rp.Hops[i][j])
+			if hops, _ := pathHopsUnits(t, rp, i, j); hops != 1 {
+				t.Fatalf("FB hops(%d,%d) = %d", i, j, hops)
 			}
 		}
 	}
@@ -180,13 +211,13 @@ func TestDPAgreesWithFWOtherParams(t *testing.T) {
 }
 
 func TestMeanAndMaxDist(t *testing.T) {
-	rp := Compute(topo.MeshRow(8), testParams)
+	mean, max := tableMeanMax(Compute(topo.MeshRow(8), testParams))
 	// Mean over 64 ordered pairs: sum |i-j| = 168, times 4, over 64 = 10.5.
-	if math.Abs(rp.MeanDist()-10.5) > 1e-9 {
-		t.Fatalf("mesh row mean = %g, want 10.5", rp.MeanDist())
+	if math.Abs(mean-10.5) > 1e-9 {
+		t.Fatalf("mesh row mean = %g, want 10.5", mean)
 	}
-	if rp.MaxDist() != 28 {
-		t.Fatalf("mesh row max = %g, want 28", rp.MaxDist())
+	if max != 28 {
+		t.Fatalf("mesh row max = %g, want 28", max)
 	}
 }
 
@@ -223,11 +254,17 @@ func TestPathErrors(t *testing.T) {
 	if err != nil || len(p) != 1 || p[0] != 2 {
 		t.Fatalf("self path = %v, %v", p, err)
 	}
+	// A hand-built table whose hops toward 2 bounce between 0 and 1 must
+	// fail rather than loop.
+	loop := &RowPaths{N: 3, Next: [][]int{{0, 1, 1}, {0, 1, 0}, {1, 2, 2}}}
+	if p, err := loop.Path(0, 2); err == nil {
+		t.Fatalf("looping table gave path %v", p)
+	}
 }
 
 func TestSingleRouterRow(t *testing.T) {
 	rp := Compute(topo.MeshRow(1), testParams)
-	if rp.Dist[0][0] != 0 || rp.MeanDist() != 0 {
+	if mean, _ := tableMeanMax(rp); rp.Dist[0][0] != 0 || mean != 0 {
 		t.Fatal("singleton row must have zero latency")
 	}
 }

@@ -30,20 +30,6 @@ func Tables(paths *RowPaths) []Table {
 	return out
 }
 
-// Entries returns the number of non-trivial table entries (destinations
-// other than the router itself), the quantity the paper bounds by 2(n-1)
-// per router when sizing the hardware overhead (Section 4.5.2 counts the X
-// and Y tables together).
-func (t Table) Entries() int {
-	n := 0
-	for d, nh := range t.NextHop {
-		if d != t.Router && nh >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders one router's table like Fig. 3(b): destination -> next hop.
 func (t Table) String() string {
 	var b strings.Builder

@@ -106,7 +106,10 @@ func TestHTTPAndStdioAgree(t *testing.T) {
 					if err := json.Unmarshal(resp.Result, &s); err != nil || s.Result == nil {
 						t.Fatalf("stdio sim result %s (%v)", resp.Result, err)
 					}
-					if !reflect.DeepEqual(h.Result.WithoutTiming(), s.Result.WithoutTiming()) {
+					// Wall-clock fields are the only ones two runs may differ in.
+					h.Result.WallTime, h.Result.CyclesPerSec = 0, 0
+					s.Result.WallTime, s.Result.CyclesPerSec = 0, 0
+					if !reflect.DeepEqual(h.Result, s.Result) {
 						t.Fatalf("sim results differ:\nHTTP  %s\nstdio %s", body, resp.Result)
 					}
 				} else {

@@ -226,6 +226,8 @@ func (l *limiter) allow(key string) bool {
 
 // evictStale drops buckets that have been idle long enough to be full again
 // (they carry no throttling state worth keeping). Called with l.mu held.
+// It and evictOldestSampled run only when `explinkd -ratelimit` sees more
+// distinct clients than its bucket table holds.
 func (l *limiter) evictStale(now time.Time) {
 	idle := time.Duration(l.burst/l.rate*float64(time.Second)) + time.Second
 	for k, b := range l.buckets {

@@ -145,6 +145,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store returns the shared placement store (its counters prove single-flight
 // behaviour: two concurrent cold requests for one placement ⇒ Solves == 1).
+// perfbench reads the counters through it; the daemon itself does not.
 func (s *Server) Store() *core.PlacementStore { return s.store }
 
 // BeginDrain starts shutdown: the gate stops admitting (new requests get

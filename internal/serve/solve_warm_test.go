@@ -39,7 +39,7 @@ func (r *reuseRecorder) reset() {
 // through Handler(). The store key is hashed from a stack buffer and the
 // request's solver stays on the stack, so what allocates is the per-request
 // context, the body reader, the decoded request and the response.
-const warmSolveAllocsMax = 10
+const warmSolveAllocsMax = 8
 
 // TestWarmSolveAllocs pins the allocations of a warm solve: one request
 // (json.Marshal of a request with a seed, as Go clients send it) answered

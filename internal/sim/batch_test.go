@@ -93,7 +93,7 @@ func TestBatchMatchesSingleRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].WithoutTiming() != want.WithoutTiming() {
+		if untimed(got[i]) != untimed(want) {
 			t.Fatalf("replica %d (seed %d) diverged from single run:\n%v\n%v", i, seed, got[i], want)
 		}
 	}

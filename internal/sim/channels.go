@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // ChannelStat reports one directed network channel's traffic over a run.
@@ -107,18 +106,4 @@ func (s *Simulator) Summarize() UtilizationSummary {
 		out.Gini = (2*cum - (n+1)*sum) / (n * sum)
 	}
 	return out
-}
-
-// TopChannels renders the k busiest channels for diagnostics.
-func (s *Simulator) TopChannels(k int) string {
-	stats := s.ChannelStats()
-	if k > len(stats) {
-		k = len(stats)
-	}
-	var b strings.Builder
-	for i := 0; i < k; i++ {
-		b.WriteString(stats[i].String())
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -45,7 +45,7 @@ func TestConcentrationSameRouterCores(t *testing.T) {
 }
 
 func TestConcentrationConservation(t *testing.T) {
-	cfg := quickCfg(topo.Mesh(4), 1, traffic.UniformRandomN(4*4*4), 0.01)
+	cfg := quickCfg(topo.Mesh(4), 1, traffic.UniformRandomRect(4*4, 4), 0.01)
 	cfg.Concentration = 4
 	res := mustRun(t, cfg)
 	if !res.Drained {
@@ -65,7 +65,7 @@ func TestConcentrationSaturatesEarlierPerCore(t *testing.T) {
 	// where the plain one is still comfortable.
 	at := func(k int, rate float64) Result {
 		n := 4
-		pat := traffic.UniformRandomN(n * n * k)
+		pat := traffic.UniformRandomRect(k*n, n)
 		cfg := quickCfg(topo.Mesh(n), 1, pat, rate)
 		cfg.Concentration = k
 		cfg.Measure = 3000
@@ -81,7 +81,7 @@ func TestConcentrationSaturatesEarlierPerCore(t *testing.T) {
 }
 
 func TestConcentrationTraceRoundTrip(t *testing.T) {
-	cfg := quickCfg(topo.Mesh(4), 1, traffic.UniformRandomN(32), 0.01)
+	cfg := quickCfg(topo.Mesh(4), 1, traffic.UniformRandomRect(2*4, 4), 0.01)
 	cfg.Concentration = 2
 	cfg.RecordTrace = true
 	s, err := New(cfg)
@@ -131,7 +131,7 @@ func TestConcentratedFlattenedButterflyBeatsMesh(t *testing.T) {
 	// 4x4 network of concentration-4 routers with full row/column
 	// connectivity. At low load it must beat the 64-core mesh on latency —
 	// the result that motivated express-link topologies in the first place.
-	fbCfg := quickCfg(topo.FlattenedButterfly(4), 4, traffic.UniformRandomN(64), 0.01)
+	fbCfg := quickCfg(topo.FlattenedButterfly(4), 4, traffic.UniformRandomRect(4*4, 4), 0.01)
 	fbCfg.Concentration = 4
 	fb := mustRun(t, fbCfg)
 

@@ -97,7 +97,7 @@ type Config struct {
 	// to shrink the network; with Concentration k, every router gets k
 	// injection and k ejection ports, node ids range over k·W·H cores, and
 	// core c attaches to router c/k. Traffic patterns must be built for the
-	// core count (e.g. traffic.UniformRandomN(k*w*h)); geometric patterns
+	// core count (e.g. traffic.UniformRandomRect(k*w, h)); geometric patterns
 	// like transpose assume one core per router.
 	Concentration int
 }

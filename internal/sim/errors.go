@@ -34,6 +34,8 @@ type DeadlockError struct {
 	Report string // per-VC dump of blocked traffic
 }
 
+// Error and Unwrap run only when a run deadlocks, which no valid
+// configuration does; the sim tests provoke one.
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: %v at cycle %d (no progress for %d cycles)\n%s",
 		ErrDeadlock, e.Cycle, e.Stall, e.Report)
@@ -50,6 +52,8 @@ type AuditError struct {
 	Detail    string
 }
 
+// Error and Unwrap run only when an audited run breaks an invariant, which
+// working code never does; the sim tests inject the faults.
 func (e *AuditError) Error() string {
 	return fmt.Sprintf("sim: audit: %s violated at cycle %d: %s", e.Invariant, e.Cycle, e.Detail)
 }

@@ -42,10 +42,6 @@ type vcFIFO struct {
 	count int
 }
 
-func newVCFIFO(depth int) vcFIFO {
-	return vcFIFO{buf: make([]bufEntry, depth)}
-}
-
 func (q *vcFIFO) push(e bufEntry) {
 	if q.count == len(q.buf) {
 		panic("sim: VC buffer overflow — credit flow control violated")

@@ -77,9 +77,9 @@ func goldenCases() map[string]Config {
 	add("express8-hotspot-o1turn", goldenCfg(express8, c8, hot8, 0.02),
 		func(c *Config) { c.Routing = RoutingO1Turn })
 	add("hfb8-ur-xy", goldenCfg(topo.HFB(8), topo.HFB(8).MaxCrossSection(), traffic.UniformRandom(8), 0.05), nil)
-	add("mesh4-k2-ur-xy", goldenCfg(topo.Mesh(4), 1, traffic.UniformRandomN(32), 0.03),
+	add("mesh4-k2-ur-xy", goldenCfg(topo.Mesh(4), 1, traffic.UniformRandomRect(2*4, 4), 0.03),
 		func(c *Config) { c.Concentration = 2 })
-	add("express8-k2-ur-o1turn", goldenCfg(express8, c8, traffic.UniformRandomN(128), 0.02),
+	add("express8-k2-ur-o1turn", goldenCfg(express8, c8, traffic.UniformRandomRect(2*8, 8), 0.02),
 		func(c *Config) { c.Concentration = 2; c.Routing = RoutingO1Turn })
 	return cases
 }

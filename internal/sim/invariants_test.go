@@ -66,8 +66,8 @@ func TestRandomPlacementInvariants(t *testing.T) {
 		if res.Drained && res.Counts.FlitsInjected != res.Counts.FlitsEjected {
 			t.Fatalf("trial %d: conservation violated", trial)
 		}
-		if res.Drained && s.InFlight() != 0 {
-			t.Fatalf("trial %d: drained with %d flits in flight", trial, s.InFlight())
+		if res.Drained && s.inFlightFlits != 0 {
+			t.Fatalf("trial %d: drained with %d flits in flight", trial, s.inFlightFlits)
 		}
 	}
 }

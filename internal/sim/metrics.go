@@ -91,15 +91,6 @@ type Result struct {
 	Counts Counts
 }
 
-// WithoutTiming returns the result with the wall-clock measurement fields
-// zeroed. Two runs of the same config are bit-identical under this view;
-// use it when comparing results for determinism.
-func (r Result) WithoutTiming() Result {
-	r.WallTime = 0
-	r.CyclesPerSec = 0
-	return r
-}
-
 func (r Result) String() string {
 	s := fmt.Sprintf("%s/%s rate=%.4f: lat=%.2f (net %.2f, p99 %d) hops=%.2f tc=%.2f thr=%.4f pkt/node/cy drained=%v",
 		r.Topology, r.Pattern, r.InjRate, r.AvgPacketLatency, r.AvgNetLatency,

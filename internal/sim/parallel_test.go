@@ -30,7 +30,7 @@ func TestRunManyMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par[i].WithoutTiming() != seq.WithoutTiming() {
+		if untimed(par[i]) != untimed(seq) {
 			t.Fatalf("run %d diverged between parallel and sequential:\n%v\n%v", i, par[i], seq)
 		}
 	}
@@ -56,7 +56,7 @@ func TestRunManyAggBatchMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range cfgs {
-		if batch[i].WithoutTiming() != pool[i].WithoutTiming() {
+		if untimed(batch[i]) != untimed(pool[i]) {
 			t.Fatalf("replica %d diverged between batch and pool:\n%v\n%v", i, batch[i], pool[i])
 		}
 	}
@@ -164,9 +164,6 @@ func TestChannelStats(t *testing.T) {
 	sum := s.Summarize()
 	if sum.Channels != 48 || sum.MaxUtil < sum.MeanUtil || sum.Gini < 0 || sum.Gini > 1 {
 		t.Fatalf("summary broken: %+v", sum)
-	}
-	if s.TopChannels(3) == "" {
-		t.Fatal("TopChannels empty")
 	}
 }
 

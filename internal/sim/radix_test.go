@@ -29,7 +29,7 @@ func hubTopology() topo.Topology {
 
 func hubCfg(k int) Config {
 	t := hubTopology()
-	cfg := NewConfig(t, 32, traffic.UniformRandomN(t.NumRouters()*k), 0.001)
+	cfg := NewConfig(t, 32, traffic.UniformRandomRect(k*t.W, t.H), 0.001)
 	cfg.Concentration = k
 	cfg.Warmup, cfg.Measure, cfg.Drain = 50, 200, 5000
 	return cfg

@@ -14,7 +14,7 @@ func TestRectangularZeroLoad(t *testing.T) {
 	// A 8x4 mesh, corner to corner: 7 X hops + 3 Y hops = 10 hops, head
 	// 10*(3+1) = 40; latency = 40 + 3 + flits + 1.
 	tp := topo.MeshRect(8, 4)
-	dst := tp.NodeID(7, 3)
+	dst := 3*tp.W + 7
 	cfg := quickCfg(tp, 1, pairPattern{Src: 0, Dst: dst}, 0.002)
 	cfg.Mix = []model.PacketClass{{Name: "only", Bits: 128, Frac: 1}}
 	cfg.Measure = 20000

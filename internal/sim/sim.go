@@ -790,19 +790,3 @@ func (s *Simulator) idealNetLatency(p *packet) float64 {
 	}
 	return head + float64(s.cfg.RouterStages-1) + 2 + float64(p.flits-1)
 }
-
-// InFlight reports flits currently inside routers and channels (for tests).
-func (s *Simulator) InFlight() int64 { return s.inFlightFlits }
-
-// Now reports the current simulation cycle (for tests).
-func (s *Simulator) Now() int64 { return s.now }
-
-// DebugString summarizes the built network.
-func (s *Simulator) DebugString() string {
-	chFlits := 0
-	for _, ch := range s.channels {
-		chFlits += ch.q.len()
-	}
-	return fmt.Sprintf("sim{%s %dx%d routers=%d channels=%d width=%db cycle=%d inflight=%d chflits=%d}",
-		s.cfg.Topo.Name, s.w, s.h, len(s.routers), len(s.channels), s.cfg.WidthBits, s.now, s.inFlightFlits, chFlits)
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // TraceEntry is one injected packet of a recorded workload.
@@ -63,13 +62,6 @@ func (tr *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Sort orders entries by cycle (stable, preserving same-cycle order).
-func (tr *Trace) Sort() {
-	sort.SliceStable(tr.Entries, func(i, j int) bool {
-		return tr.Entries[i].Cycle < tr.Entries[j].Cycle
-	})
 }
 
 // Save writes the trace as JSON.

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"explink/internal/topo"
@@ -81,14 +82,16 @@ func TestTraceValidate(t *testing.T) {
 }
 
 func TestTraceSort(t *testing.T) {
+	// Replay needs entries in cycle order: Validate rejects an unsorted trace
+	// and accepts the same entries once ordered.
 	tr := &Trace{W: 4, H: 4, Entries: []TraceEntry{
 		{Cycle: 3, Src: 0, Dst: 1, Bits: 128},
 		{Cycle: 1, Src: 2, Dst: 3, Bits: 128},
 	}}
-	tr.Sort()
-	if tr.Entries[0].Cycle != 1 {
-		t.Fatalf("not sorted: %+v", tr.Entries)
+	if err := tr.Validate(); !errors.Is(err, ErrConfig) {
+		t.Fatalf("unsorted trace: err = %v, want ErrConfig", err)
 	}
+	tr.Entries[0], tr.Entries[1] = tr.Entries[1], tr.Entries[0]
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ const histDense = 1 << 12
 // array; anything else (a wide tail near saturation) spills into a sparse
 // map, so memory stays bounded by histDense plus the distinct tail values.
 //
-// The zero value is an empty, ready-to-use histogram: Add and Merge size the
-// dense array on first use. NewHistogram pre-sizes it so the hot path never
+// The zero value is an empty, ready-to-use histogram: Add sizes the dense
+// array on first use. NewHistogram pre-sizes it so the hot path never
 // pays the lazy check's allocation.
 type Histogram struct {
 	dense  []int64
@@ -111,29 +111,6 @@ func (h *Histogram) Max() int {
 		return 0
 	}
 	return keys[len(keys)-1]
-}
-
-// Merge folds other into h. A zero-value receiver (or operand) is a valid
-// empty histogram, and a nil receiver or operand is a no-op, matching the
-// nil-safe convention of internal/obs.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	if other.dense != nil && h.dense == nil {
-		h.dense = make([]int64, histDense)
-	}
-	for v, c := range other.dense {
-		h.dense[v] += c
-	}
-	for v, c := range other.sparse {
-		if h.sparse == nil {
-			h.sparse = make(map[int]int64)
-		}
-		h.sparse[v] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
 }
 
 func (h *Histogram) sortedKeys() []int {

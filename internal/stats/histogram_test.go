@@ -83,33 +83,16 @@ func TestHistogramSkewed(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 10; i++ {
-		a.Add(1)
-		b.Add(3)
-	}
-	a.Merge(b)
-	if a.Count() != 20 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	if a.Mean() != 2 {
-		t.Fatalf("mean = %g", a.Mean())
-	}
-}
-
 // TestHistogramZeroValue guards the zero-value contract: a Histogram{} that
-// never went through NewHistogram must accept Add and Merge (in either
-// direction) instead of panicking on the nil dense slice.
+// never went through NewHistogram must accept Add instead of panicking on the
+// nil dense slice.
 func TestHistogramZeroValue(t *testing.T) {
 	var h Histogram
 	h.Add(4)
 	h.Add(histDense + 5) // sparse path
-	src := NewHistogram()
 	for i := 0; i < 9; i++ {
-		src.Add(2)
+		h.Add(2)
 	}
-	h.Merge(src)
 	if h.Count() != 11 {
 		t.Fatalf("count = %d, want 11", h.Count())
 	}
@@ -119,33 +102,10 @@ func TestHistogramZeroValue(t *testing.T) {
 	if h.Max() != histDense+5 {
 		t.Fatalf("max = %d", h.Max())
 	}
-
-	// Merging a zero-value operand into a fresh receiver must also work, and
-	// merging two zero-value histograms must stay a no-op.
-	var a, b Histogram
-	a.Merge(&b)
-	if a.Count() != 0 {
-		t.Fatalf("zero-merge count = %d", a.Count())
+	var empty Histogram
+	if empty.Count() != 0 || empty.Percentile(50) != 0 {
+		t.Fatalf("zero value: count %d, p50 %d", empty.Count(), empty.Percentile(50))
 	}
-	dst := NewHistogram()
-	dst.Merge(&h)
-	if dst.Count() != 11 {
-		t.Fatalf("merged count = %d", dst.Count())
-	}
-}
-
-// TestHistogramMergeNilSafe pins the nil-safe convention from internal/obs:
-// a nil operand or receiver is a no-op, not a panic.
-func TestHistogramMergeNilSafe(t *testing.T) {
-	h := NewHistogram()
-	h.Add(7)
-	h.Merge(nil)
-	if h.Count() != 1 || h.Percentile(50) != 7 {
-		t.Fatalf("Merge(nil) corrupted state: %s", h)
-	}
-	var nilRecv *Histogram
-	nilRecv.Merge(h) // must not panic
-	nilRecv.Merge(nil)
 }
 
 // TestHistogramPercentileDomain pins the clamping of out-of-domain p: the

@@ -74,8 +74,8 @@ func TestFrontierTable(t *testing.T) {
 	tab := FrontierTable("trade-off", []string{"lat", "pow"},
 		[]string{"a", "b", "c"},
 		[][]float64{{1, 5}, {3, 3}, {2, 2}})
-	if tab.NumRows() != 3 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	out := tab.String()
 	if !strings.Contains(out, "front") || !strings.Contains(out, "trade-off") {

@@ -60,38 +60,6 @@ func (t *Table) AddNotef(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.Rows) }
-
-// CSV renders the table as comma-separated values (header first), quoting
-// cells that contain commas or quotes, for machine-readable experiment
-// output. Notes are not part of the CSV.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	if len(t.Header) > 0 {
-		writeRow(t.Header)
-	}
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
 // String renders the table with aligned columns followed by its notes.
 func (t *Table) String() string {
 	cols := len(t.Header)

@@ -20,8 +20,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, two rows
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 }
 
@@ -47,16 +47,5 @@ func TestTableRowfTypes(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in %q", want, out)
 		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("demo", "name", "value")
-	tb.AddRow("plain", "1.5")
-	tb.AddRow(`quote"inside`, "a,b")
-	csv := tb.CSV()
-	want := "name,value\nplain,1.5\n\"quote\"\"inside\",\"a,b\"\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
 	}
 }

@@ -38,15 +38,6 @@ func NewConnMatrix(n, c int) *ConnMatrix {
 	return &ConnMatrix{n: n, c: c, bits: make([]bool, (n-2)*(c-1))}
 }
 
-// N returns the router count.
-func (m *ConnMatrix) N() int { return m.n }
-
-// C returns the link limit.
-func (m *ConnMatrix) C() int { return m.c }
-
-// Layers returns the number of express layers, C-1.
-func (m *ConnMatrix) Layers() int { return m.c - 1 }
-
 // Bits returns the total number of connection points, (N-2)·(C-1). This is
 // the dimension of the SA move space; it is 0 when C == 1 or N <= 2.
 func (m *ConnMatrix) Bits() int { return len(m.bits) }

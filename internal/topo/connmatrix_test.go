@@ -10,8 +10,8 @@ import (
 
 func TestConnMatrixShape(t *testing.T) {
 	m := NewConnMatrix(8, 4)
-	if m.N() != 8 || m.C() != 4 || m.Layers() != 3 || m.Bits() != 18 {
-		t.Fatalf("shape: n=%d c=%d layers=%d bits=%d", m.N(), m.C(), m.Layers(), m.Bits())
+	if m.n != 8 || m.c != 4 || m.Bits() != 18 {
+		t.Fatalf("shape: n=%d c=%d bits=%d", m.n, m.c, m.Bits())
 	}
 	if NewConnMatrix(8, 1).Bits() != 0 {
 		t.Fatal("C=1 must have zero bits")

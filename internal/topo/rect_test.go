@@ -16,7 +16,7 @@ func TestRectTopology(t *testing.T) {
 		if x < 0 || x >= 8 || y < 0 || y >= 4 {
 			t.Fatalf("coords(%d) = (%d,%d)", id, x, y)
 		}
-		if tp.NodeID(x, y) != id {
+		if y*tp.W+x != id {
 			t.Fatalf("round trip failed at %d", id)
 		}
 	}

