@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"explink/internal/core"
 	"explink/internal/obs"
@@ -55,7 +57,30 @@ type Env struct {
 type Reply struct {
 	Body  []byte
 	Notes []string
+	// pooled is the replyBufs entry Body was encoded into, or nil.
+	pooled *[]byte
 }
+
+// Release hands a pooled Body back for a later reply to reuse. The
+// transport that writes the reply calls it once, after the write; Body and
+// anything aliasing it must not be read afterwards. A reply whose Body is
+// not pooled is left alone.
+func (r Reply) Release() {
+	if r.pooled == nil || cap(r.Body) > maxPooledReply {
+		return
+	}
+	*r.pooled = r.Body[:0]
+	replyBufs.Put(r.pooled)
+}
+
+// replyBufs recycles solve reply buffers: the warm solve answers from the
+// store in microseconds, and a fresh buffer of up to a few KB per reply
+// made garbage collection a large share of that time. Buffers that grew past
+// maxPooledReply (a full sweep of a large network) go to the collector
+// instead of pinning their size in the pool.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 64 << 10
 
 // Ops is the service op table: the paper's flow as daemon operations.
 var Ops = []Op{
@@ -70,8 +95,13 @@ var Ops = []Op{
 		}
 		// The direct appender, not the sanitizer: these bytes must equal
 		// `explink -json`.
-		body, err := resp.marshal()
-		return Reply{Body: body}, err
+		buf := replyBufs.Get().(*[]byte)
+		body, err := resp.appendJSON(slices.Grow((*buf)[:0], resp.jsonSize()))
+		if err != nil {
+			replyBufs.Put(buf)
+			return Reply{}, err
+		}
+		return Reply{Body: body, pooled: buf}, nil
 	}),
 	newOp("eval", func(_ context.Context, _ Env, r *EvalRequest) (Reply, error) {
 		resp, err := r.Eval()

@@ -63,17 +63,12 @@ func NewSolveResponse(best core.RowSolution, all []core.RowSolution) SolveRespon
 // byte-comparable against CLI output. The bytes go out in one Write, and a
 // response that cannot be encoded (a non-finite float) writes nothing.
 func (r SolveResponse) Encode(w io.Writer) error {
-	buf, err := r.marshal()
+	buf, err := r.appendJSON(make([]byte, 0, r.jsonSize()))
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(buf)
 	return err
-}
-
-// marshal returns Encode's bytes in one presized buffer.
-func (r SolveResponse) marshal() ([]byte, error) {
-	return r.appendJSON(make([]byte, 0, r.jsonSize()))
 }
 
 // EvalRequest asks for the latency of a given placement without solving:

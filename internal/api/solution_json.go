@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 
+	"explink/internal/numfmt"
 	"explink/internal/topo"
 )
 
@@ -131,34 +132,20 @@ func appendKey(b []byte, d int, name string) []byte {
 	return append(b, "\": "...)
 }
 
-// appendNewline appends a newline and the two-space indent of depth d.
-func appendNewline(b []byte, d int) []byte {
-	b = append(b, '\n')
-	for ; d > 0; d-- {
-		b = append(b, "  "...)
-	}
-	return b
-}
+// newlineIndent holds a newline and the two-space indent of every depth
+// the solve response reaches (5: the members of an express span inside an
+// entry of "all").
+const newlineIndent = "\n          "
 
-// appendFloat appends f the way encoding/json formats a float64: shortest
-// round-trip digits, in 'f' form unless |f| < 1e-6 or |f| >= 1e21, where it
-// switches to 'e' form with a one-digit negative exponent written without
-// its leading zero (1e-07 → 1e-7). NaN and ±Inf have no JSON form and fail
-// with encoding/json's UnsupportedValueError.
+// appendNewline appends a newline and the two-space indent of depth d.
+func appendNewline(b []byte, d int) []byte { return append(b, newlineIndent[:1+2*d]...) }
+
+// appendFloat appends f the way encoding/json formats a float64 (see
+// numfmt.AppendJSON). NaN and ±Inf have no JSON form and fail with
+// encoding/json's UnsupportedValueError.
 func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
+	return numfmt.AppendJSON(b, f), nil
 }

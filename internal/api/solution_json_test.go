@@ -114,6 +114,11 @@ func FuzzSolveResponseEncode(f *testing.F) {
 	f.Add(int64(8), int64(32), int64(9), b(1), b(math.Inf(1)), b(3), []byte{}, uint8(0), uint8(2))
 	f.Add(int64(8), int64(32), int64(9), b(1), b(2), b(math.Inf(-1)), []byte{}, uint8(1), uint8(0))
 	f.Add(int64(math.MaxInt64), int64(-7), int64(math.MinInt64), b(1e-300), b(1.5e300), b(123456789.125), []byte{128, 127, 200, 1}, uint8(2), uint8(0))
+	// Short decimals, which the encoder prints by its integer path, at and
+	// around the edges of that path (1e-4 and 1e10), and non-short values.
+	f.Add(int64(4), int64(64), int64(99), b(12.25), b(3.0625), b(15.3125), []byte{0, 2, 2, 5}, uint8(2), uint8(2))
+	f.Add(int64(2), int64(128), int64(7), b(0.0001), b(9999999999.9999), b(1e10), []byte{1, 3}, uint8(2), uint8(2))
+	f.Add(int64(2), int64(128), int64(7), b(-0.05), b(0.30000000000000004), b(math.Nextafter(1e10, 0)), []byte{}, uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, c, width, evals int64, head, ser, total uint64, spans []byte, express, all uint8) {
 		sol := Solution{
 			C: int(c), Width: int(width), Evals: evals,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"explink/internal/model"
+	"explink/internal/numfmt"
 	"explink/internal/topo"
 )
 
@@ -342,8 +343,10 @@ func (st *PlacementStore) saveDisk(addr, key string, sp StoredPlacement) {
 const keyBufSize = 320
 
 // appendNum appends a float with the shortest representation that
-// round-trips, so the preimage is canonical for every representable value.
-func appendNum(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+// round-trips ('g' form), so the preimage is canonical for every
+// representable value. Whole and short-decimal config values take
+// numfmt's exact integer path.
+func appendNum(b []byte, v float64) []byte { return numfmt.AppendShortest(b, v) }
 
 func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 

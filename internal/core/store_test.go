@@ -711,6 +711,10 @@ func FuzzStoreKey(f *testing.F) {
 	f.Add(8, uint64(1), 0.0, 10.0, 10000, 1000, 2.0, 0, 0.8, 0.2, 1.0, 0.0, int64(3), 4)
 	f.Add(16, uint64(1<<63+7), 0.5, 1e21, 800, 80, 1e-7, 1000, 0.1, 0.9, 5e-324, math.MaxFloat64, int64(-7), 8)
 	f.Add(2, uint64(0), math.Copysign(0, -1), 0.0, -1, 0, 0.0, -1, 0.0, 1.0, 123456789.0, 1e-6, int64(math.MaxInt64), 1)
+	// Short decimals, which the key builder prints by its integer path, up
+	// to where shortest 'g' switches to exponent form at 1e6.
+	f.Add(8, uint64(3), 0.25, 999999.9999, 10000, 1000, 1.0001, 0, 0.0001, 0.9999, 1e6, 123.456, int64(0), 2)
+	f.Add(4, uint64(9), -0.5, 1e-3, 7, 3, 2.5, 9, 0.30000000000000004, -12.75, math.Nextafter(1e6, 0), 0.00015, int64(1), 3)
 	f.Fuzz(func(t *testing.T, n int, seed uint64, worst, t0 float64, moves, coolEvery int, coolDiv float64,
 		stop int, frac0, frac1, w0, w1 float64, salt int64, c int) {
 		s := NewSolver(model.DefaultConfig(n))

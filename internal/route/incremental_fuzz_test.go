@@ -6,10 +6,11 @@ import (
 	"explink/internal/topo"
 )
 
-// fuzzParams are the edge-cost models FuzzIncrementalVsScratch picks from.
-// The list keeps six entries so every checked-in corpus entry selects the
-// model its file name records.
-var fuzzParams = []Params{
+// costModels are the edge-cost models the Incremental-vs-oracle tests run
+// over: the fuzz targets pick one per input, the deterministic tests run
+// each. The list keeps six entries so every checked-in corpus entry selects
+// the model its file name records.
+var costModels = []Params{
 	{PerHop: 3, PerUnit: 1}, {PerHop: 4, PerUnit: 0}, {PerHop: 0, PerUnit: 1},
 	{PerHop: 5, PerUnit: 2}, {PerHop: 1, PerUnit: 3}, {PerHop: 7, PerUnit: 1},
 }
@@ -19,7 +20,7 @@ var fuzzParams = []Params{
 // deltas by ConnMatrix.DeltaAt, each then committed or reverted — and pins
 // every intermediate Mean/MeanMax/WeightedMean bit-identical to a full
 // Scratch evaluation of the decoded row. The cost byte picks the edge-cost
-// model from fuzzParams. The ops bytes encode the walk: for each byte, the
+// model from costModels. The ops bytes encode the walk: for each byte, the
 // low bits pick the flipped bit index and bit 7 picks commit (1) or
 // revert (0).
 func FuzzIncrementalVsScratch(f *testing.F) {
@@ -39,7 +40,7 @@ func FuzzIncrementalVsScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, cost uint8, ops []byte) {
 		sz := sizes[int(size)%len(sizes)]
 		n, c := sz.n, sz.c
-		p := fuzzParams[int(cost)%len(fuzzParams)]
+		p := costModels[int(cost)%len(costModels)]
 		w := make([][]float64, n)
 		for i := range w {
 			w[i] = make([]float64, n)
@@ -130,7 +131,7 @@ func FuzzIncrementalUndo(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, size, cost uint8, ops []byte) {
 		sz := sizes[int(size)%len(sizes)]
-		p := fuzzParams[int(cost)%len(fuzzParams)]
+		p := costModels[int(cost)%len(costModels)]
 		m := topo.NewConnMatrix(sz.n, sz.c)
 		inc := NewIncremental(p)
 		fresh := NewIncremental(p)

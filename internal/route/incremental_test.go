@@ -15,24 +15,27 @@ func refMeanMax(row topo.Row) (float64, float64) {
 }
 
 func TestIncrementalResetMatchesScratch(t *testing.T) {
-	// One evaluator across rows of varying sizes: every Reset must answer
-	// exactly like a fresh Scratch, proving buffer reuse leaks no stale state.
-	rng := stats.NewRNG(7)
-	inc := NewIncremental(testParams)
-	s := newScratch(testParams)
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + rng.Intn(14)
-		c := 1 + rng.Intn(6)
-		row := randomRow(rng, n, c)
-		inc.Reset(row)
-		wantMean, wantMax := s.MeanMax(row)
-		gotMean, gotMax := inc.MeanMax()
-		if gotMean != wantMean || gotMax != wantMax {
-			t.Fatalf("trial %d (row %v): MeanMax = (%v, %v), want (%v, %v)",
-				trial, row, gotMean, gotMax, wantMean, wantMax)
-		}
-		if got := inc.Mean(); got != wantMean {
-			t.Fatalf("trial %d: Mean = %v, want %v", trial, got, wantMean)
+	// One evaluator per cost model across rows of varying sizes: every Reset
+	// must answer exactly like a fresh Scratch, proving buffer reuse leaks no
+	// stale state.
+	for _, p := range costModels {
+		rng := stats.NewRNG(7)
+		inc := NewIncremental(p)
+		s := newScratch(p)
+		for trial := 0; trial < 200; trial++ {
+			n := 3 + rng.Intn(14)
+			c := 1 + rng.Intn(6)
+			row := randomRow(rng, n, c)
+			inc.Reset(row)
+			wantMean, wantMax := s.MeanMax(row)
+			gotMean, gotMax := inc.MeanMax()
+			if gotMean != wantMean || gotMax != wantMax {
+				t.Fatalf("%+v trial %d (row %v): MeanMax = (%v, %v), want (%v, %v)",
+					p, trial, row, gotMean, gotMax, wantMean, wantMax)
+			}
+			if got := inc.Mean(); got != wantMean {
+				t.Fatalf("%+v trial %d: Mean = %v, want %v", p, trial, got, wantMean)
+			}
 		}
 	}
 }
@@ -52,53 +55,56 @@ func applyEdit(spans []topo.Span, removed, added []topo.Span) []topo.Span {
 }
 
 func TestIncrementalFlipRevertCommitMatchesScratch(t *testing.T) {
-	// Random walks of single-span flips with random accept/reject decisions:
-	// at every step the incremental answers must be bit-identical to a full
-	// evaluation of the shadow row, for all three reductions.
-	rng := stats.NewRNG(11)
-	inc := NewIncremental(testParams)
-	s := newScratch(testParams)
-	for _, n := range []int{4, 8, 16} {
-		w := make([][]float64, n)
-		for i := range w {
-			w[i] = make([]float64, n)
-			for j := range w[i] {
-				w[i][j] = float64((i*13+j*7)%5) + 0.25
+	// Random walks of single-span flips with random accept/reject decisions,
+	// under every cost model: at every step the incremental answers must be
+	// bit-identical to a full evaluation of the shadow row, for all three
+	// reductions.
+	for _, p := range costModels {
+		rng := stats.NewRNG(11)
+		inc := NewIncremental(p)
+		s := newScratch(p)
+		for _, n := range []int{4, 8, 16} {
+			w := make([][]float64, n)
+			for i := range w {
+				w[i] = make([]float64, n)
+				for j := range w[i] {
+					w[i][j] = float64((i*13+j*7)%5) + 0.25
+				}
 			}
-		}
-		shadow := topo.MeshRow(n)
-		inc.Reset(shadow)
-		for step := 0; step < 400; step++ {
-			sp := topo.Span{From: rng.Intn(n - 2), To: 0}
-			sp.To = sp.From + 2 + rng.Intn(n-sp.From-2)
-			// Each step toggles presence: a span already in the shadow row is
-			// removed, an absent one is added.
-			removed, added := []topo.Span{sp}, []topo.Span(nil)
-			if !present(shadow.Express, sp) {
-				removed, added = added, removed
-			}
-			inc.Update(removed, added)
-			cand := applyEdit(shadow.Express, removed, added)
-			candRow := topo.Row{N: n, Express: cand}
-			wantMean, wantMax := s.MeanMax(candRow)
-			gotMean, gotMax := inc.MeanMax()
-			if gotMean != wantMean || gotMax != wantMax {
-				t.Fatalf("n=%d step %d: flip %v: MeanMax = (%v, %v), want (%v, %v)",
-					n, step, sp, gotMean, gotMax, wantMean, wantMax)
-			}
-			if got, want := inc.WeightedMean(w), s.WeightedMean(candRow, w); got != want {
-				t.Fatalf("n=%d step %d: WeightedMean = %v, want %v", n, step, got, want)
-			}
-			if rng.Bool(0.5) {
-				inc.Commit()
-				shadow = candRow
-			} else {
-				inc.Revert()
-				wantMean, wantMax = s.MeanMax(shadow)
-				gotMean, gotMax = inc.MeanMax()
+			shadow := topo.MeshRow(n)
+			inc.Reset(shadow)
+			for step := 0; step < 400; step++ {
+				sp := topo.Span{From: rng.Intn(n - 2), To: 0}
+				sp.To = sp.From + 2 + rng.Intn(n-sp.From-2)
+				// Each step toggles presence: a span already in the shadow row is
+				// removed, an absent one is added.
+				removed, added := []topo.Span{sp}, []topo.Span(nil)
+				if !present(shadow.Express, sp) {
+					removed, added = added, removed
+				}
+				inc.Update(removed, added)
+				cand := applyEdit(shadow.Express, removed, added)
+				candRow := topo.Row{N: n, Express: cand}
+				wantMean, wantMax := s.MeanMax(candRow)
+				gotMean, gotMax := inc.MeanMax()
 				if gotMean != wantMean || gotMax != wantMax {
-					t.Fatalf("n=%d step %d: after revert: MeanMax = (%v, %v), want (%v, %v)",
-						n, step, gotMean, gotMax, wantMean, wantMax)
+					t.Fatalf("%+v n=%d step %d: flip %v: MeanMax = (%v, %v), want (%v, %v)",
+						p, n, step, sp, gotMean, gotMax, wantMean, wantMax)
+				}
+				if got, want := inc.WeightedMean(w), s.WeightedMean(candRow, w); got != want {
+					t.Fatalf("%+v n=%d step %d: WeightedMean = %v, want %v", p, n, step, got, want)
+				}
+				if rng.Bool(0.5) {
+					inc.Commit()
+					shadow = candRow
+				} else {
+					inc.Revert()
+					wantMean, wantMax = s.MeanMax(shadow)
+					gotMean, gotMax = inc.MeanMax()
+					if gotMean != wantMean || gotMax != wantMax {
+						t.Fatalf("%+v n=%d step %d: after revert: MeanMax = (%v, %v), want (%v, %v)",
+							p, n, step, gotMean, gotMax, wantMean, wantMax)
+					}
 				}
 			}
 		}
@@ -139,27 +145,30 @@ func TestIncrementalUpdateDuplicateSpans(t *testing.T) {
 
 func TestIncrementalNestedMovesLIFO(t *testing.T) {
 	// The D&C and BnB searches stack moves; closing them out of order must
-	// restore the exact pre-move answers at every level.
-	rng := stats.NewRNG(23)
-	inc := NewIncremental(testParams)
-	s := newScratch(testParams)
-	row := randomRow(rng, 12, 3)
-	inc.Reset(row)
-	a, b := topo.Span{From: 0, To: 6}, topo.Span{From: 3, To: 11}
-	inc.Update(nil, []topo.Span{a})
-	inc.Update(nil, []topo.Span{b})
-	bothRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a, b)}
-	if got, want := inc.Mean(), s.MeanDist(bothRow); got != want {
-		t.Fatalf("nested adds: Mean = %v, want %v", got, want)
-	}
-	inc.Revert() // undo b
-	oneRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a)}
-	if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
-		t.Fatalf("after inner revert: Mean = %v, want %v", got, want)
-	}
-	inc.Commit() // keep a
-	if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
-		t.Fatalf("after commit: Mean = %v, want %v", got, want)
+	// restore the exact pre-move answers at every level, under every cost
+	// model.
+	for _, p := range costModels {
+		rng := stats.NewRNG(23)
+		inc := NewIncremental(p)
+		s := newScratch(p)
+		row := randomRow(rng, 12, 3)
+		inc.Reset(row)
+		a, b := topo.Span{From: 0, To: 6}, topo.Span{From: 3, To: 11}
+		inc.Update(nil, []topo.Span{a})
+		inc.Update(nil, []topo.Span{b})
+		bothRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a, b)}
+		if got, want := inc.Mean(), s.MeanDist(bothRow); got != want {
+			t.Fatalf("%+v nested adds: Mean = %v, want %v", p, got, want)
+		}
+		inc.Revert() // undo b
+		oneRow := topo.Row{N: 12, Express: append(append([]topo.Span{}, row.Express...), a)}
+		if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
+			t.Fatalf("%+v after inner revert: Mean = %v, want %v", p, got, want)
+		}
+		inc.Commit() // keep a
+		if got, want := inc.Mean(), s.MeanDist(oneRow); got != want {
+			t.Fatalf("%+v after commit: Mean = %v, want %v", p, got, want)
+		}
 	}
 }
 

@@ -256,7 +256,8 @@ func (p *streamProgress) start() *obs.EventWriter {
 
 // writeReply answers 200 with the reply body (a partial sim result
 // included, its error embedded), or the mapped error when there is no body.
-// The sanitizer's notes go out in an X-Explink-Sanitized header.
+// The sanitizer's notes go out in an X-Explink-Sanitized header. Write does
+// not retain the body, so it is released for reuse once written.
 func writeReply(w http.ResponseWriter, rep api.Reply, err error) {
 	if rep.Body == nil {
 		writeError(w, err)
@@ -267,6 +268,7 @@ func writeReply(w http.ResponseWriter, rep api.Reply, err error) {
 		w.Header().Set("X-Explink-Sanitized", strings.Join(rep.Notes, "; "))
 	}
 	w.Write(rep.Body) // a failed write means the client is gone: no one is left to tell
+	rep.Release()
 }
 
 // jsonContentType is the Content-Type of every JSON reply, shared so that

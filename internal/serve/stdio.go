@@ -126,8 +126,11 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 					defer wg.Done()
 					s.dispatch(ctx, "stdio", "", op, bytes.NewReader(body), api.Env{Store: s.store}, func(rep api.Reply, err error) {
 						// Marshalling compacts the RawMessage result: stdio
-						// carries the HTTP body without its indentation.
+						// carries the HTTP body without its indentation. The
+						// line is written by the time write returns, so the
+						// body can be released.
 						write(stdioResponse{ID: req.ID, OK: err == nil, Result: rep.Body, Error: errorBody(err)})
+						rep.Release()
 					})
 				}()
 			case req.Op == "ping":
